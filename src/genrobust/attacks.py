@@ -10,7 +10,7 @@ constraint and keeps the adversarial input inside [0,1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from . import autodiff as ad
 from . import models as mdl
 from .autodiff import NumericError, Tape, Tensor, backward
 from .data import LabeledDataset, derive_rng
-from .parallel import map_ordered
 
 __all__ = [
     "PerturbationSet",
@@ -40,7 +39,7 @@ L2 = "l2"
 _OBJECTIVES = ("cross-entropy", "kl-vs-clean", "margin", "targeted-margin")
 _OPTIMIZERS = ("sign-sgd", "adam")
 
-CHUNK = 64  # fixed evaluation chunk; identical in serial and threaded modes
+CHUNK = 64  # fixed evaluation chunk
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,7 @@ class AttackResult:
     x_adv: np.ndarray
     objective_value: np.ndarray  # [B] final objective at the kept delta
     success: np.ndarray  # [B] bool, misclassified at the kept delta
+    logits: np.ndarray  # [B,C] model logits at x_adv
 
 
 def _flat_norms(delta: np.ndarray) -> np.ndarray:
@@ -134,148 +134,36 @@ def random_start(pset: PerturbationSet, shape: tuple, rng: np.random.Generator) 
 
 def margin_loss(logits, labels: np.ndarray) -> np.ndarray:
     """Per-example z_y - max_{i != y} z_i; negative iff misclassified."""
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    if z.ndim != 2 or z.shape[1] < 2:
-        raise ad.ShapeError(f"logits must be [B,C] with C >= 2, got {z.shape}")
-    n, c = z.shape
-    lab = np.asarray(labels)
-    if lab.size and (lab.min() < 0 or lab.max() >= c):
-        raise ValueError(f"label out of range [0, {c})")
-    zy = z[np.arange(n), lab]
-    masked = z.copy()
-    masked[np.arange(n), lab] = -np.inf
-    return zy - masked.max(axis=1)
+    z = logits if isinstance(logits, Tensor) else Tensor(logits)
+    return ad.sub(ad.gather_labels(z, labels), ad.max_excluding(z, labels)).data
 
 
 # ---------------------------------------------------------------------------
 # objectives (maximized by the attack)
 
 
-class _Objective:
-    """Ascent target: scalar for gradients, per-example values for restarts."""
-
-    dtype = np.float64  # dtype the ascent tensor must carry (no re-coercion)
-
-    def scalar(self, x_t: Tensor, tape: Tape) -> Tensor:
-        raise NotImplementedError
-
-    def values(self, x_np: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _ModelObjective(_Objective):
-    def __init__(self, model: mdl.Classifier, use_ema: bool):
-        self.model = model
-        self.use_ema = use_ema
-        self.dtype = model.config.dtype
-
-    def _logits(self, x_t: Tensor, tape: Optional[Tape]) -> Tensor:
-        return mdl.forward_logits(self.model, x_t, use_ema=self.use_ema, tape=tape)
-
-    def logits_np(self, x_np: np.ndarray) -> np.ndarray:
-        return self._logits(Tensor(np.asarray(x_np, dtype=self.model.config.dtype)), None).data
+def _objective_rows(
+    objective: str,
+    logits: Tensor,
+    tape: Optional[Tape],
+    labels: Optional[np.ndarray] = None,
+    targets: Optional[np.ndarray] = None,
+    clean: Optional[Tensor] = None,
+) -> Tensor:
+    """Per-example value [B] of one attack objective, taped when a tape is given."""
+    if objective == "cross-entropy":
+        return ad.softmax_cross_entropy_rows(logits, labels, tape)
+    if objective == "kl-vs-clean":
+        return ad.kl_divergence_rows(clean, logits, tape)
+    if objective == "margin":  # max_{i != y} z_i - z_y, the negated margin
+        high = ad.max_excluding(logits, labels, tape)
+    else:  # targeted-margin: z_target - z_y
+        high = ad.gather_labels(logits, targets, tape)
+    return ad.sub(high, ad.gather_labels(logits, labels, tape), tape)
 
 
-class _CrossEntropyObjective(_ModelObjective):
-    def __init__(self, model, use_ema, labels):
-        super().__init__(model, use_ema)
-        self.labels = np.asarray(labels)
-
-    def scalar(self, x_t, tape):
-        return ad.softmax_cross_entropy(self._logits(x_t, tape), self.labels, tape)
-
-    def values(self, x_np):
-        logp = ad.log_softmax(self.logits_np(x_np))
-        return -logp[np.arange(len(self.labels)), self.labels]
-
-
-class _KlVsCleanObjective(_ModelObjective):
-    def __init__(self, model, use_ema, clean_logits):
-        super().__init__(model, use_ema)
-        self.clean = Tensor(np.asarray(clean_logits, dtype=model.config.dtype))
-        self._clean_logp = ad.log_softmax(self.clean.data)
-
-    def scalar(self, x_t, tape):
-        return ad.kl_divergence(self.clean, self._logits(x_t, tape), tape)
-
-    def values(self, x_np):
-        logq = ad.log_softmax(self.logits_np(x_np))
-        p = np.exp(self._clean_logp)
-        return (p * (self._clean_logp - logq)).sum(axis=1)
-
-
-class _MarginObjective(_ModelObjective):
-    """Maximize max_{i != y} z_i - z_y (the negated margin)."""
-
-    def __init__(self, model, use_ema, labels):
-        super().__init__(model, use_ema)
-        self.labels = np.asarray(labels)
-
-    def scalar(self, x_t, tape):
-        logits = self._logits(x_t, tape)
-        gap = ad.sub(
-            ad.max_excluding(logits, self.labels, tape),
-            ad.gather_labels(logits, self.labels, tape),
-            tape,
-        )
-        return ad.tsum(gap, tape)
-
-    def values(self, x_np):
-        return -margin_loss(self.logits_np(x_np), self.labels)
-
-
-class _TargetedMarginObjective(_ModelObjective):
-    """Maximize z_target - z_y."""
-
-    def __init__(self, model, use_ema, labels, targets):
-        super().__init__(model, use_ema)
-        self.labels = np.asarray(labels)
-        self.targets = np.asarray(targets)
-
-    def scalar(self, x_t, tape):
-        logits = self._logits(x_t, tape)
-        gap = ad.sub(
-            ad.gather_labels(logits, self.targets, tape),
-            ad.gather_labels(logits, self.labels, tape),
-            tape,
-        )
-        return ad.tsum(gap, tape)
-
-    def values(self, x_np):
-        z = self.logits_np(x_np)
-        rows = np.arange(z.shape[0])
-        return z[rows, self.targets] - z[rows, self.labels]
-
-
-def _build_objective(
-    model: mdl.Classifier,
-    cfg: AttackConfig,
-    x: np.ndarray,
-    y_or_reference,
-    targets,
-    use_ema: bool,
-) -> _Objective:
-    if cfg.objective == "kl-vs-clean":
-        if y_or_reference is None:
-            # clean logits computed once, never re-taped
-            ref = mdl.forward_logits(model, x, use_ema=use_ema).data
-        else:
-            ref = np.asarray(y_or_reference)
-            if ref.ndim != 2:
-                raise ValueError("kl-vs-clean needs clean logits [B,C] as reference")
-        return _KlVsCleanObjective(model, use_ema, ref)
-    labels = np.asarray(y_or_reference)
-    if labels.ndim != 1:
-        raise ValueError(f"objective {cfg.objective!r} needs integer labels [B]")
-    if cfg.objective == "cross-entropy":
-        return _CrossEntropyObjective(model, use_ema, labels)
-    if cfg.objective == "margin":
-        return _MarginObjective(model, use_ema, labels)
-    if targets is None:
-        if cfg.target is None:
-            raise ValueError("targeted-margin needs target classes")
-        targets = np.full(labels.shape, cfg.target, dtype=np.int64)
-    return _TargetedMarginObjective(model, use_ema, labels, np.asarray(targets))
+# the ascent follows the batch mean of these objectives, the sum of the others
+_MEAN_OBJECTIVES = ("cross-entropy", "kl-vs-clean")
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +181,28 @@ def _adam_ascend(delta, grad, state, lr):
 
 
 def pgd_on_objective(
-    objective: _Objective,
+    forward: Callable[[Tensor, Optional[Tape]], Tensor],
+    objective: Callable[[Tensor, Optional[Tape]], Tensor],
     x: np.ndarray,
     pset: PerturbationSet,
     cfg: AttackConfig,
+    mean: bool = False,
+    labels: Optional[np.ndarray] = None,
     example_ids: Optional[np.ndarray] = None,
-    success_labels: Optional[np.ndarray] = None,
-    success_logits_fn=None,
+    dtype=np.float64,
 ) -> AttackResult:
-    """Multi-restart projected gradient ascent on an arbitrary objective.
+    """Multi-restart projected gradient ascent on objective(forward(x + delta)).
+
+    forward maps the attacked input (a ``dtype`` tensor) to logits [B,C];
+    objective maps logits to per-example values [B]. Each step ascends
+    their batch sum, or their mean when ``mean`` is set. One untaped
+    forward at the end of each restart gives the values and, when labels
+    are given, success (argmax != label); the per-example keeper prefers
+    successful restarts first, then higher values.
 
     Restart r of example i draws its random start from an rng keyed by
     (cfg.seed, r, example_ids[i]); restart results are therefore shared
     prefixes between runs that differ only in the restart budget.
-
-    success_labels plus success_logits_fn (x_adv -> logits) let callers
-    track misclassification; the per-example keeper prefers successful
-    restarts first, then higher objective values.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size and (x.min() < -1e-12 or x.max() > 1.0 + 1e-12):
@@ -338,8 +231,9 @@ def pgd_on_objective(
         state = (np.zeros_like(x), np.zeros_like(x), 0)  # Adam state, per restart
         for _ in range(cfg.steps):
             tape = Tape()
-            x_t = Tensor((x + delta).astype(objective.dtype, copy=False))
-            obj = objective.scalar(x_t, tape)
+            x_t = Tensor((x + delta).astype(dtype, copy=False))
+            rows = objective(forward(x_t, tape), tape)
+            obj = ad.tmean(rows, tape) if mean else ad.tsum(rows, tape)
             grad = backward(obj, tape).wrt(x_t)
             if not np.all(np.isfinite(grad)):
                 raise NumericError("NaN/Inf gradient inside PGD")
@@ -350,20 +244,26 @@ def pgd_on_objective(
             delta = project(delta, pset)
             delta = np.clip(x + delta, 0.0, 1.0) - x
 
-        vals = objective.values(x + delta)
-        if success_labels is not None and success_logits_fn is not None:
-            pred = np.argmax(success_logits_fn(x + delta), axis=1)
-            succ = pred != success_labels
+        # x + delta equals the clipped x_adv, so these logits stand for it
+        z = forward(Tensor((x + delta).astype(dtype, copy=False)), None)
+        vals = objective(z, None).data
+        logits = z.data
+        if labels is not None:
+            succ = np.argmax(logits, axis=1) != labels
         else:
             succ = np.zeros(b, dtype=bool)
+        if restart == 0:
+            best_logits = np.empty_like(logits)
         better = (succ & ~best_success) | ((succ == best_success) & (vals > best_val))
         best_delta[better] = delta[better]
         best_val[better] = vals[better]
         best_success[better] = succ[better]
+        best_logits[better] = logits[better]
 
     x_adv = np.clip(x + best_delta, 0.0, 1.0)
     return AttackResult(
-        delta=best_delta, x_adv=x_adv, objective_value=best_val, success=best_success
+        delta=best_delta, x_adv=x_adv, objective_value=best_val, success=best_success,
+        logits=best_logits,
     )
 
 
@@ -377,21 +277,47 @@ def pgd(
     example_ids: Optional[np.ndarray] = None,
     use_ema: bool = False,
 ) -> AttackResult:
-    """PGD on a classifier; objective and inner optimizer set by cfg."""
-    objective = _build_objective(model, cfg, x, y_or_reference, targets, use_ema)
-    labels = None
-    if cfg.objective != "kl-vs-clean":
+    """PGD on a classifier; objective and inner optimizer set by cfg.
+
+    y_or_reference holds integer labels [B], or for kl-vs-clean the clean
+    logits [B,C] (None: computed here, and success is not tracked).
+    """
+    labels = clean = None
+    if cfg.objective == "kl-vs-clean":
+        if y_or_reference is None:
+            # clean logits computed once, never re-taped
+            ref = mdl.forward_logits(model, x, use_ema=use_ema).data
+        else:
+            ref = np.asarray(y_or_reference)
+            if ref.ndim != 2:
+                raise ValueError("kl-vs-clean needs clean logits [B,C] as reference")
+            labels = np.argmax(ref, axis=1)
+        clean = Tensor(np.asarray(ref, dtype=model.config.dtype))
+    else:
         labels = np.asarray(y_or_reference)
-    elif y_or_reference is not None:
-        labels = np.argmax(np.asarray(y_or_reference), axis=1)
+        if labels.ndim != 1:
+            raise ValueError(f"objective {cfg.objective!r} needs integer labels [B]")
+        if cfg.objective == "targeted-margin" and targets is None:
+            if cfg.target is None:
+                raise ValueError("targeted-margin needs target classes")
+            targets = np.full(labels.shape, cfg.target, dtype=np.int64)
+
+    def forward(x_t, tape):
+        return mdl.forward_logits(model, x_t, use_ema=use_ema, tape=tape)
+
+    def objective(logits, tape):
+        return _objective_rows(cfg.objective, logits, tape, labels, targets, clean)
+
     return pgd_on_objective(
+        forward,
         objective,
         x,
         pset,
         cfg,
+        mean=cfg.objective in _MEAN_OBJECTIVES,
+        labels=labels,
         example_ids=example_ids,
-        success_labels=labels,
-        success_logits_fn=objective.logits_np if labels is not None else None,
+        dtype=model.config.dtype,
     )
 
 
@@ -407,12 +333,13 @@ def fgsm(
         raise ValueError("fgsm is defined for Linf perturbation sets")
     size = pset.epsilon if step is None else step
     if size == 0.0 or pset.epsilon == 0.0:
-        logits = mdl.forward_logits(model, x).data
+        logits = mdl.forward_logits(model, x)
         return AttackResult(
             delta=np.zeros_like(np.asarray(x, dtype=np.float64)),
             x_adv=np.asarray(x, dtype=np.float64).copy(),
-            objective_value=-ad.log_softmax(logits)[np.arange(len(y)), np.asarray(y)],
-            success=np.argmax(logits, axis=1) != np.asarray(y),
+            objective_value=ad.softmax_cross_entropy_rows(logits, np.asarray(y)).data,
+            success=np.argmax(logits.data, axis=1) != np.asarray(y),
+            logits=logits.data,
         )
     cfg = AttackConfig(
         steps=1, step_size=size, inner_optimizer="sign-sgd", restarts=1,
@@ -495,8 +422,7 @@ def _cascade_chunk(
         example_ids=ids,
         use_ema=use_ema,
     )
-    adv_logits = mdl.forward_logits(model, stage1.x_adv, use_ema=use_ema).data
-    worst_margin = np.minimum(worst_margin, margin_loss(adv_logits, labels))
+    worst_margin = np.minimum(worst_margin, margin_loss(stage1.logits, labels))
     stage1_survived = clean_correct & ~stage1.success
 
     # top-k incorrect classes by clean logit rank, per example
@@ -529,10 +455,9 @@ def _cascade_chunk(
             example_ids=ids[live],
             use_ema=use_ema,
         )
-        adv_logits = mdl.forward_logits(model, attacked.x_adv, use_ema=use_ema).data
         live_idx = np.flatnonzero(live)
         worst_margin[live_idx] = np.minimum(
-            worst_margin[live_idx], margin_loss(adv_logits, labels[live])
+            worst_margin[live_idx], margin_loss(attacked.logits, labels[live])
         )
         stage2_survived[live_idx[attacked.success]] = False
 
@@ -560,19 +485,15 @@ def attack_cascade(
     """Robust accuracy under the full cascade plus per-example records.
 
     An example counts robust only if it is clean-correct and survives both
-    stages. Examples are processed in fixed chunks so threaded runs (see
-    GENROBUST_THREADS) match serial runs exactly.
+    stages. Examples are attacked in fixed chunks of CHUNK.
     """
     n = len(data)
-    chunks = [
-        (data.images[s : s + CHUNK], data.labels[s : s + CHUNK], np.arange(s, min(s + CHUNK, n)))
-        for s in range(0, n, CHUNK)
-    ]
-    results = map_ordered(
-        lambda args: _cascade_chunk(model, args[0], args[1], args[2], pset, ccfg, use_ema),
-        chunks,
-    )
-    records = [row for rows in results for row in rows]
+    records = []
+    for s in range(0, n, CHUNK):
+        records += _cascade_chunk(
+            model, data.images[s : s + CHUNK], data.labels[s : s + CHUNK],
+            np.arange(s, min(s + CHUNK, n)), pset, ccfg, use_ema,
+        )
     robust = sum(1 for r in records if r["clean_correct"] and r["stage1_survived"] and r["stage2_survived"])
     clean = sum(1 for r in records if r["clean_correct"])
     return CascadeResult(

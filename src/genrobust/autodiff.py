@@ -46,7 +46,9 @@ __all__ = [
     "conv2d",
     "softmax",
     "log_softmax",
+    "softmax_cross_entropy_rows",
     "softmax_cross_entropy",
+    "kl_divergence_rows",
     "kl_divergence",
     "gather_labels",
     "max_excluding",
@@ -487,31 +489,37 @@ def _check_labels(labels: np.ndarray, n_rows: int, n_classes: int) -> np.ndarray
     return lab.astype(np.int64)
 
 
-def softmax_cross_entropy(
+def softmax_cross_entropy_rows(
     logits: Tensor, labels: np.ndarray, tape: Optional[Tape] = None
 ) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label]."""
+    """Per-row -log softmax(logits)[label], shape [B]."""
     if logits.data.ndim != 2:
         raise ShapeError(f"logits must be [B,C], got {logits.shape}")
     n, c = logits.shape
     lab = _check_labels(labels, n, c)
     logp = log_softmax(logits.data)
-    loss = -logp[np.arange(n), lab].mean()
-    out = _result(np.asarray(loss, dtype=logits.dtype), "softmax_cross_entropy")
+    out = _result(-logp[np.arange(n), lab], "softmax_cross_entropy_rows")
     if tape is not None:
         p = np.exp(logp)
 
         def bwd(g: np.ndarray):
             grad = p.copy()
             grad[np.arange(n), lab] -= 1.0
-            return (grad * (g / n),)
+            return (grad * g[:, None],)
 
         tape.record((logits,), out, bwd)
     return out
 
 
-def kl_divergence(p_logits: Tensor, q_logits: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    """Mean over the batch of KL(softmax(p) || softmax(q)).
+def softmax_cross_entropy(
+    logits: Tensor, labels: np.ndarray, tape: Optional[Tape] = None
+) -> Tensor:
+    """Mean over the batch of -log softmax(logits)[label]."""
+    return tmean(softmax_cross_entropy_rows(logits, labels, tape), tape)
+
+
+def kl_divergence_rows(p_logits: Tensor, q_logits: Tensor, tape: Optional[Tape] = None) -> Tensor:
+    """Per-row KL(softmax(p) || softmax(q)), shape [B].
 
     Differentiable w.r.t. both logit arguments; pass a constant (untaped)
     tensor to stop gradients on one side.
@@ -520,23 +528,28 @@ def kl_divergence(p_logits: Tensor, q_logits: Tensor, tape: Optional[Tape] = Non
         raise ShapeError(
             f"kl_divergence needs matching [B,C] logits, got {p_logits.shape} vs {q_logits.shape}"
         )
-    n = p_logits.shape[0]
     logp = log_softmax(p_logits.data)
     logq = log_softmax(q_logits.data)
     p = np.exp(logp)
     per_row = (p * (logp - logq)).sum(axis=1)
-    out = _result(np.asarray(per_row.mean(), dtype=p_logits.dtype), "kl_divergence")
+    out = _result(per_row, "kl_divergence_rows")
     if tape is not None:
         q = np.exp(logq)
 
         def bwd(g: np.ndarray):
             s = logp - logq
-            gp = p * (s - per_row[:, None]) * (g / n)
-            gq = (q - p) * (g / n)
+            g_rows = g[:, None]
+            gp = p * (s - per_row[:, None]) * g_rows
+            gq = (q - p) * g_rows
             return gp, gq
 
         tape.record((p_logits, q_logits), out, bwd)
     return out
+
+
+def kl_divergence(p_logits: Tensor, q_logits: Tensor, tape: Optional[Tape] = None) -> Tensor:
+    """Mean over the batch of KL(softmax(p) || softmax(q))."""
+    return tmean(kl_divergence_rows(p_logits, q_logits, tape), tape)
 
 
 def gather_labels(logits: Tensor, labels: np.ndarray, tape: Optional[Tape] = None) -> Tensor:

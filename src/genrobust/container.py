@@ -82,12 +82,23 @@ def save_container(path: str | os.PathLike, tensors: Mapping[str, np.ndarray]) -
         parts.append(np.ascontiguousarray(a).tobytes())
     blob = b"".join(parts)
     blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    _atomic_write(path, blob, ".grtc-")
 
+
+def _atomic_write(path: str | os.PathLike, data: bytes, prefix: str) -> None:
+    """Write a temp file beside path, then rename it over path.
+
+    The file gets the mode a plain open() would give it (0o666 less the
+    umask), not mkstemp's 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".grtc-")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -155,16 +166,7 @@ def load_container(path: str | os.PathLike) -> dict[str, np.ndarray]:
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Whole-file atomic text write (temp file + rename), UTF-8."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".txt-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, text.encode("utf-8"), ".txt-")
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,17 @@ per class is measurably wrong while the family itself can play the role of
 a held-out "true" generator.
 
 Sweeps are resumable: each (axis value, seed) cell persists as one CSV
-under <out_dir>/cells/ and completed cells are skipped on restart. All
-randomness derives from (experiment seed, axis value, seed index).
+under <out_dir>/cells/, stamped with the sweep's config hash. On restart a
+cell is reused only if it succeeded under the same hash; failed and stale
+cells are recomputed. All randomness derives from (experiment seed, axis
+value, seed index).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import zlib
 from dataclasses import dataclass, field, replace
@@ -218,16 +221,8 @@ def sign_test_pvalue(diffs: Sequence[float]) -> float:
     wins = int(np.sum(nonzero > 0))
     total = 0.0
     for k in range(wins, n + 1):
-        # binomial coefficient via exact integer arithmetic
-        total += float(_comb(n, k))
+        total += float(math.comb(n, k))
     return total / float(2**n)
-
-
-def _comb(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +294,14 @@ def _cell_path(out_dir: str, axis_repr: str, seed_index: int) -> str:
     return os.path.join(out_dir, "cells", f"{safe}__s{seed_index}.csv")
 
 
-def _load_cell(path: str) -> Optional[dict]:
+def _load_cell(path: str, config_hash: str) -> Optional[dict]:
+    """A finished cell's metrics; None (recompute) when the cell is missing,
+    recorded a failure, or was computed under another config hash."""
     if not os.path.exists(path):
         return None
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    if not rows:
+    if not rows or "error" in rows[0] or rows[0].pop("config_hash", None) != config_hash:
         return None
     out = {}
     for k, v in rows[0].items():
@@ -318,12 +315,12 @@ def _load_cell(path: str) -> Optional[dict]:
     return out
 
 
-def _store_cell(path: str, row: dict) -> None:
+def _store_cell(path: str, row: dict, config_hash: str) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(row))
+    writer = csv.DictWriter(buf, fieldnames=[*row, "config_hash"])
     writer.writeheader()
-    writer.writerow(row)
+    writer.writerow({**row, "config_hash": config_hash})
     atomic_write_text(path, buf.getvalue())
 
 
@@ -344,7 +341,7 @@ def _run_sweep(
             cell_seed = _cell_seed(exp_seed, axis_repr, int(seed))
             path = _cell_path(out_dir, axis_repr, int(seed)) if out_dir else None
             if path:
-                cached = _load_cell(path)
+                cached = _load_cell(path, config_hash)
                 if cached is not None:
                     cached["axis"] = axis_value
                     cached["seed"] = int(seed)
@@ -356,7 +353,7 @@ def _run_sweep(
             except Exception as exc:  # record the failure, keep sweeping
                 row = {"axis": axis_value, "seed": int(seed), "error": repr(exc)}
             if path:
-                _store_cell(path, row)
+                _store_cell(path, row, config_hash)
             result.rows.append(row)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

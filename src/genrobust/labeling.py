@@ -87,13 +87,7 @@ def train_nonrobust(
             optimizer.step(grads, cosine_lr(step, total, lr0))
             mdl.ema_update(model, ema_tau)
             step += 1
-    return _fold_ema(model)
-
-
-def _fold_ema(model: Classifier) -> Classifier:
-    folded = Classifier(config=model.config, params=model.ema_params.copy(), ema_params=None)
-    folded.ema_params = folded.params.copy()
-    return folded
+    return mdl.ema_snapshot(model)
 
 
 def pseudo_label(

@@ -27,6 +27,7 @@ __all__ = [
     "forward_logits",
     "forward_penultimate",
     "ema_update",
+    "ema_snapshot",
     "accuracy",
     "predict_labels",
     "save_checkpoint",
@@ -218,6 +219,13 @@ def ema_update(model: Classifier, tau: float) -> None:
     for name, t in model.params.items():
         old = model.ema_params[name].data
         model.ema_params.assign(name, Tensor(tau * old + (1.0 - tau) * t.data))
+
+
+def ema_snapshot(model: Classifier) -> Classifier:
+    """A new classifier whose parameters and EMA copy both hold model's EMA weights."""
+    out = Classifier(config=model.config, params=model.ema_params.copy(), ema_params=None)
+    out.ema_params = out.params.copy()
+    return out
 
 
 def predict_labels(model: Classifier, images: np.ndarray, use_ema: bool = False, batch: int = 256) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -29,11 +29,10 @@ from .optim import NesterovSGD, cosine_lr
 __all__ = [
     "EarlyStopConfig",
     "TrainConfig",
-    "MixedBatch",
     "TrainReport",
     "cosine_lr",
     "mixed_counts",
-    "build_mixed_batch",
+    "build_mixed_batches",
     "trades_loss",
     "standard_at_loss",
     "train",
@@ -97,64 +96,46 @@ def mixed_counts(alpha: float, batch_size: int) -> tuple[int, int]:
     return n_orig, batch_size - n_orig
 
 
-@dataclass
-class MixedBatch:
-    orig_images: np.ndarray
-    orig_labels: np.ndarray
-    gen_images: np.ndarray
-    gen_labels: np.ndarray
-
-    @property
-    def n_orig(self) -> int:
-        return self.orig_images.shape[0]
-
-    @property
-    def n_gen(self) -> int:
-        return self.gen_images.shape[0]
-
-    def combined(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.n_gen == 0:
-            return self.orig_images, self.orig_labels
-        if self.n_orig == 0:
-            return self.gen_images, self.gen_labels
-        return (
-            np.concatenate([self.orig_images, self.gen_images]),
-            np.concatenate([self.orig_labels, self.gen_labels]),
-        )
-
-
-def build_mixed_batch(
+def build_mixed_batches(
     orig: Optional[LabeledDataset],
     gen: Optional[PseudoLabeledSet],
     alpha: float,
     batch_size: int,
-    rng: np.random.Generator,
-) -> MixedBatch:
-    """One batch: n_orig originals without replacement, rest generated.
+    steps: int,
+    shuffle_rng: np.random.Generator,
+    gen_rng: np.random.Generator,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One epoch of ``steps`` mixed batches, each (images, labels).
 
-    The generated part draws with replacement (pools may be any size).
+    Every batch holds n_orig originals first, then n_gen generated
+    examples. The originals walk one permutation of ``orig`` drawn from
+    ``shuffle_rng`` for the epoch, wrapping to its start when a batch runs
+    past the end; the generated part draws with replacement from
+    ``gen_rng`` (pools may be any size).
     """
     n_orig, n_gen = mixed_counts(alpha, batch_size)
-    if n_orig > 0:
-        if orig is None or len(orig) == 0:
-            raise ValueError("alpha > 0 requires a non-empty original dataset")
-        if n_orig > len(orig):
-            raise ValueError(f"batch wants {n_orig} originals, dataset has {len(orig)}")
-        idx = rng.choice(len(orig), size=n_orig, replace=False)
-        oi, ol = orig.images[idx], orig.labels[idx]
-    else:
-        shape = orig.images.shape[1:] if orig is not None else gen.images.shape[1:]
-        oi = np.zeros((0, *shape))
-        ol = np.zeros(0, dtype=np.int64)
-    if n_gen > 0:
-        if gen is None or len(gen) == 0:
-            raise ValueError("alpha < 1 requires a non-empty generated pool")
-        gidx = rng.integers(0, len(gen), size=n_gen)
-        gi, gl = gen.images[gidx], gen.pseudo_labels[gidx]
-    else:
-        gi = np.zeros((0, *oi.shape[1:]))
-        gl = np.zeros(0, dtype=np.int64)
-    return MixedBatch(orig_images=oi, orig_labels=ol, gen_images=gi, gen_labels=gl)
+    if n_orig > 0 and (orig is None or len(orig) < n_orig):
+        raise ValueError(f"alpha > 0 needs at least {n_orig} originals per batch")
+    if n_gen > 0 and (gen is None or len(gen) == 0):
+        raise ValueError("alpha < 1 requires a non-empty generated pool")
+    order = shuffle_rng.permutation(len(orig)) if n_orig > 0 else None
+
+    def batch(s: int) -> tuple[np.ndarray, np.ndarray]:
+        images, labels = [], []
+        if n_orig > 0:
+            lo = (s * n_orig) % len(orig)
+            take = order[lo : lo + n_orig]
+            if take.size < n_orig:  # wrap the epoch shuffle
+                take = np.concatenate([take, order[: n_orig - take.size]])
+            images.append(orig.images[take])
+            labels.append(orig.labels[take])
+        if n_gen > 0:
+            gidx = gen_rng.integers(0, len(gen), size=n_gen)
+            images.append(gen.images[gidx])
+            labels.append(gen.pseudo_labels[gidx])
+        return np.concatenate(images), np.concatenate(labels)
+
+    return map(batch, range(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +236,8 @@ def _validation_robust_accuracy(
         x = val.images[start : start + batch]
         y = val.labels[start : start + batch]
         res = pgd(model, x, y, pset, cfg, example_ids=np.arange(start, start + len(y)), use_ema=True)
-        adv_logits = mdl.forward_logits(model, res.x_adv, use_ema=True).data
-        correct += int(np.sum(np.argmax(adv_logits, axis=1) == y))
+        correct += int(np.count_nonzero(~res.success))
     return correct / len(val)
-
-
-def _snapshot(model: Classifier) -> Classifier:
-    out = Classifier(config=model.config, params=model.ema_params.copy(), ema_params=None)
-    out.ema_params = out.params.copy()
-    return out
 
 
 def train(
@@ -278,20 +252,18 @@ def train(
     The original dataset's last ``early_stop.validation_size`` examples are
     held out for PGD validation and never trained on.
     """
-    n_orig_frac, n_gen_frac = mixed_counts(config.alpha, config.batch_size)
-    if n_gen_frac > 0 and (gen is None or len(gen) == 0):
+    _, n_gen = mixed_counts(config.alpha, config.batch_size)
+    if n_gen > 0 and (gen is None or len(gen) == 0):
         raise ValueError("alpha < 1 requires a generated pool")
     work = Classifier(config=model.config, params=model.params.copy(), ema_params=model.ema_params.copy())
     report = TrainReport()
     if config.epochs == 0:
         report.best_step = 0
-        return _snapshot(work), report
+        return mdl.ema_snapshot(work), report
 
     val_n = min(config.early_stop.validation_size, max(len(orig) - 1, 0))
     train_split = orig.subset(np.arange(len(orig) - val_n))
     val_split = orig.subset(np.arange(len(orig) - val_n, len(orig)))
-    if n_orig_frac > 0 and len(train_split) < n_orig_frac:
-        raise ValueError("training split smaller than the original batch share")
 
     steps_per_epoch = max(1, len(train_split) // config.batch_size)
     total_steps = config.epochs * steps_per_epoch
@@ -302,7 +274,7 @@ def train(
     step = 0
     losses: list[float] = []
     best = (-1.0, -1)  # (val robust accuracy, step)
-    best_model = _snapshot(work)
+    best_model = mdl.ema_snapshot(work)
 
     def evaluate(at_step: int) -> None:
         nonlocal best, best_model
@@ -326,31 +298,15 @@ def train(
         )
         if val_robust > best[0]:
             best = (val_robust, at_step)
-            best_model = _snapshot(work)
+            best_model = mdl.ema_snapshot(work)
 
     try:
         for epoch in range(config.epochs):
-            if n_orig_frac > 0:
-                order = shuffle_rng.permutation(len(train_split))
-            for s in range(steps_per_epoch):
-                if n_orig_frac > 0:
-                    lo = (s * n_orig_frac) % len(train_split)
-                    take = order[lo : lo + n_orig_frac]
-                    if take.size < n_orig_frac:  # wrap the epoch shuffle
-                        take = np.concatenate([take, order[: n_orig_frac - take.size]])
-                    oi, ol = train_split.images[take], train_split.labels[take]
-                else:
-                    oi = np.zeros((0, *train_split.images.shape[1:]))
-                    ol = np.zeros(0, dtype=np.int64)
-                if n_gen_frac > 0:
-                    gidx = gen_rng.integers(0, len(gen), size=n_gen_frac)
-                    gi, gl = gen.images[gidx], gen.pseudo_labels[gidx]
-                else:
-                    gi = np.zeros((0, *oi.shape[1:]))
-                    gl = np.zeros(0, dtype=np.int64)
-                batch = MixedBatch(orig_images=oi, orig_labels=ol, gen_images=gi, gen_labels=gl)
-                x, y = batch.combined()
-
+            batches = build_mixed_batches(
+                train_split, gen, config.alpha, config.batch_size, steps_per_epoch,
+                shuffle_rng, gen_rng,
+            )
+            for x, y in batches:
                 tape = Tape()
                 ids = np.arange(step * config.batch_size, step * config.batch_size + len(y))
                 if config.loss == "trades":
@@ -377,7 +333,7 @@ def train(
         ) from exc
 
     if val_n == 0:
-        best_model = _snapshot(work)
+        best_model = mdl.ema_snapshot(work)
         best = (0.0, step)
     report.best_step = best[1]
     report.best_val_robust = best[0]

@@ -1,5 +1,6 @@
 """Config parsing strictness and the full CLI pipeline on a miniature setup."""
 
+import csv
 import json
 import os
 
@@ -192,18 +193,6 @@ def test_cli_rejects_sample_labels_beyond_class_count(tmp_path):
     assert cli(["pseudo-label", "--config", path, "--samples", bad]) == 1
 
 
-def test_threads_env_var_validation(monkeypatch):
-    from genrobust.parallel import worker_count
-
-    monkeypatch.delenv("GENROBUST_THREADS", raising=False)
-    assert worker_count() == 0
-    monkeypatch.setenv("GENROBUST_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("GENROBUST_THREADS", "banana")
-    with pytest.raises(ValueError):
-        worker_count()
-
-
 def test_cli_sweep_resumes(tmp_path, capsys):
     out = str(tmp_path / "run4")
     path = write_config(tmp_path, minimal_raw(output_dir=out))
@@ -215,3 +204,19 @@ def test_cli_sweep_resumes(tmp_path, capsys):
     assert first == second
     assert os.path.exists(os.path.join(out, "sweep-mixing", "cells.csv"))
     assert os.path.exists(os.path.join(out, "sweep-mixing", "summary.csv"))
+
+
+def test_cli_sweep_recomputes_cells_after_config_change(tmp_path, capsys):
+    out = str(tmp_path / "run5")
+    raw = minimal_raw(output_dir=out)
+    path = write_config(tmp_path, raw)
+    assert cli(["sweep", "--config", path]) == 0
+    raw["train"]["epochs"] = 3
+    changed = write_config(tmp_path, raw, name="changed.json")
+    assert cli(["sweep", "--config", changed]) == 0
+    new_hash = load_config(changed).hash
+    cells_dir = os.path.join(out, "sweep-mixing", "cells")
+    for name in os.listdir(cells_dir):
+        with open(os.path.join(cells_dir, name), newline="", encoding="utf-8") as fh:
+            (cell,) = csv.DictReader(fh)
+        assert cell["config_hash"] == new_hash  # recomputed under the new config

@@ -1,5 +1,7 @@
 """Container format: round trips, corruption detection, layout errors."""
 
+import os
+import stat
 import struct
 import zlib
 
@@ -8,6 +10,7 @@ import pytest
 
 from genrobust.container import (
     ContainerError,
+    atomic_write_text,
     decode_metadata,
     encode_metadata,
     load_container,
@@ -120,6 +123,21 @@ def test_atomic_write_replaces(tmp_path):
     save_container(path, {"v": np.zeros(2)})
     save_container(path, {"v": np.ones(2)})
     assert np.array_equal(load_container(path)["v"], np.ones(2))
+
+
+def test_written_files_follow_umask(tmp_path):
+    """Artifacts get 0o666 less the umask, as open() would give them."""
+    old = os.umask(0o022)
+    try:
+        save_container(tmp_path / "a.grtc", {"v": np.zeros(2)})
+        atomic_write_text(tmp_path / "a.txt", "x\n")
+        os.umask(0o077)
+        atomic_write_text(tmp_path / "private.txt", "x\n")
+    finally:
+        os.umask(old)
+    for name in ("a.grtc", "a.txt"):
+        assert stat.filemode(os.stat(tmp_path / name).st_mode) == "-rw-r--r--"
+    assert stat.filemode(os.stat(tmp_path / "private.txt").st_mode) == "-rw-------"
 
 
 def test_randomized_round_trips(tmp_path):

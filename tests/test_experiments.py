@@ -175,6 +175,41 @@ def test_run_sweep_records_failures_and_continues(tmp_path):
     assert "error" in rows["bad"]
 
 
+def test_run_sweep_retries_failed_cells(tmp_path):
+    """A cell that failed once is recomputed on resume, not handed back."""
+    calls = {"n": 0}
+
+    def flaky(axis, seed, cell_seed):
+        calls["n"] += 1
+        if axis == 1.0 and calls["n"] <= 2:
+            raise RuntimeError("transient")
+        return {"robust_acc": float(axis)}
+
+    out = str(tmp_path / "s")
+    first = _run_sweep("alpha", [0.5, 1.0], [0], flaky, out, exp_seed=0, config_hash="h")
+    assert "error" in first.rows[1]
+    second = _run_sweep("alpha", [0.5, 1.0], [0], flaky, out, exp_seed=0, config_hash="h")
+    assert calls["n"] == 3  # only the failed cell ran again
+    assert [r["robust_acc"] for r in second.rows] == [0.5, 1.0]
+    assert all("error" not in r for r in second.rows)
+
+
+def test_run_sweep_recomputes_cells_of_another_config(tmp_path):
+    calls = {"n": 0}
+
+    def cell(axis, seed, cell_seed):
+        calls["n"] += 1
+        return {"robust_acc": float(axis)}
+
+    out = str(tmp_path / "s")
+    _run_sweep("alpha", [0.5], [0, 1], cell, out, exp_seed=0, config_hash="hashA")
+    resumed = _run_sweep("alpha", [0.5], [0, 1], cell, out, exp_seed=0, config_hash="hashA")
+    assert calls["n"] == 2
+    assert set(resumed.rows[0]) == {"axis", "seed", "robust_acc"}
+    _run_sweep("alpha", [0.5], [0, 1], cell, out, exp_seed=0, config_hash="hashB")
+    assert calls["n"] == 4
+
+
 def test_cell_seed_shared_across_axis_values():
     assert exp._cell_seed(3, "alpha=0.5", 7) == exp._cell_seed(3, "alpha=1.0", 7)
     assert exp._cell_seed(3, "alpha=0.5", 7) != exp._cell_seed(3, "alpha=0.5", 8)

@@ -14,7 +14,7 @@ from genrobust.optim import NesterovSGD, cosine_lr
 from genrobust.training import (
     EarlyStopConfig,
     TrainConfig,
-    build_mixed_batch,
+    build_mixed_batches,
     mixed_counts,
     standard_at_loss,
     trades_loss,
@@ -96,33 +96,65 @@ def _gen_pool(n=50, seed=1):
     )
 
 
+def _rows_of(images, source):
+    """Index into source.images of each image row (-1 if absent)."""
+    flat = source.images.reshape(len(source), -1)
+    out = []
+    for row in images.reshape(len(images), -1):
+        hits = np.flatnonzero((flat == row).all(axis=1))
+        out.append(int(hits[0]) if hits.size else -1)
+    return np.array(out)
+
+
+def _epoch(ds, gen, alpha, batch_size, steps, seed=0):
+    return list(
+        build_mixed_batches(
+            ds, gen, alpha, batch_size, steps,
+            derive_rng("mix-shuffle", seed), derive_rng("mix-gen", seed),
+        )
+    )
+
+
 def test_build_mixed_batch_counts():
     ds = blob_dataset(60)
     gen = _gen_pool()
-    rng = derive_rng("mix", 0)
-    batch = build_mixed_batch(ds, gen, alpha=0.8, batch_size=10, rng=rng)
-    assert batch.n_orig == 8 and batch.n_gen == 2
-    x, y = batch.combined()
+    (x, y), = _epoch(ds, gen, alpha=0.8, batch_size=10, steps=1)
     assert x.shape[0] == 10 and y.shape[0] == 10
+    orig_rows, gen_rows = _rows_of(x[:8], ds), _rows_of(x[8:], gen)
+    assert np.all(orig_rows >= 0) and np.all(gen_rows >= 0)  # 8 originals, then 2 generated
+    assert np.unique(orig_rows).size == 8  # originals drawn without replacement
+    assert np.array_equal(y, np.concatenate([ds.labels[orig_rows], gen.pseudo_labels[gen_rows]]))
 
 
 def test_build_mixed_batch_pure_cases():
     ds = blob_dataset(40)
     gen = _gen_pool()
-    rng = derive_rng("mix", 1)
-    only_orig = build_mixed_batch(ds, gen, alpha=1.0, batch_size=8, rng=rng)
-    assert only_orig.n_gen == 0
-    only_gen = build_mixed_batch(ds, gen, alpha=0.0, batch_size=8, rng=rng)
-    assert only_gen.n_orig == 0
+    (x, y), = _epoch(ds, gen, alpha=1.0, batch_size=8, steps=1, seed=1)
+    rows = _rows_of(x, ds)
+    assert np.all(rows >= 0) and np.array_equal(y, ds.labels[rows])
+    (x, y), = _epoch(ds, gen, alpha=0.0, batch_size=8, steps=1, seed=1)
+    rows = _rows_of(x, gen)
+    assert np.all(rows >= 0) and np.array_equal(y, gen.pseudo_labels[rows])
 
 
 def test_build_mixed_batch_missing_sources():
     gen = _gen_pool()
     with pytest.raises(ValueError):
-        build_mixed_batch(None, gen, alpha=0.5, batch_size=8, rng=derive_rng("m", 2))
+        _epoch(None, gen, alpha=0.5, batch_size=8, steps=1, seed=2)
     ds = blob_dataset(40)
     with pytest.raises(ValueError):
-        build_mixed_batch(ds, None, alpha=0.5, batch_size=8, rng=derive_rng("m", 3))
+        _epoch(ds, None, alpha=0.5, batch_size=8, steps=1, seed=3)
+    with pytest.raises(ValueError):
+        _epoch(blob_dataset(3), gen, alpha=0.5, batch_size=8, steps=1, seed=4)
+
+
+def test_build_mixed_batch_epoch_shuffle_wraps():
+    """Originals walk one permutation per epoch and wrap past its end."""
+    ds = blob_dataset(10)
+    batches = _epoch(ds, None, alpha=1.0, batch_size=4, steps=3)
+    order = derive_rng("mix-shuffle", 0).permutation(10)
+    walked = np.concatenate([_rows_of(x, ds) for x, _ in batches])
+    assert np.array_equal(walked, np.concatenate([order, order[:2]]))
 
 
 # ---------------------------------------------------------------------------
