@@ -230,8 +230,8 @@ def pgd_on_objective(
 
         state = (np.zeros_like(x), np.zeros_like(x), 0)  # Adam state, per restart
         for _ in range(cfg.steps):
-            tape = Tape()
             x_t = Tensor((x + delta).astype(dtype, copy=False))
+            tape = Tape(wrt=(x_t,))
             rows = objective(forward(x_t, tape), tape)
             obj = ad.tmean(rows, tape) if mean else ad.tsum(rows, tape)
             grad = backward(obj, tape).wrt(x_t)

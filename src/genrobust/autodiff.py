@@ -15,13 +15,18 @@ Design notes
   topological order of the computation graph; :func:`backward` replays it
   once in reverse. A tape is owned by a single logical thread and must be
   ``reset()`` before reuse.
+* ``Tape(wrt=...)`` names the tensors whose gradients are wanted. Such a
+  tape drops every primitive none of whose inputs depends on them, and
+  primitives skip the gradients of inputs that do not (``tape.wants``).
+  This only removes work: every requested gradient is bit-identical to
+  the one an unrestricted tape gives.
 * Broadcasting is restricted to elementwise-with-scalar plus one explicit
   row-broadcast primitive (:func:`add_bias`) used for dense-layer biases.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,7 +73,7 @@ class ShapeError(ValueError):
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in result of {what}")
 
 
@@ -122,13 +127,27 @@ class Tape:
 
     Appending happens in construction order, so iterating the records in
     reverse visits nodes in reverse topological order exactly once.
+
+    With ``wrt`` given, only gradients toward those tensors are wanted: a
+    tensor is live when it is in ``wrt`` or is the output of a recorded
+    node, and a primitive with no live input is not recorded. The tape
+    keeps a reference to every live tensor, so their ids stay unique.
     """
 
-    __slots__ = ("_nodes", "_consumed")
+    __slots__ = ("_nodes", "_consumed", "_wrt", "_live")
 
-    def __init__(self):
+    def __init__(self, wrt: Optional[Iterable[Tensor]] = None):
         self._nodes: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
         self._consumed = False
+        self._wrt: Optional[dict[int, Tensor]] = None
+        self._live: Optional[set[int]] = None
+        if wrt is not None:
+            self._wrt = {id(t): t for t in wrt}
+            self._live = set(self._wrt)
+
+    def wants(self, t: Tensor) -> bool:
+        """Whether a gradient toward ``t`` can reach a requested tensor."""
+        return self._live is None or id(t) in self._live
 
     def record(
         self,
@@ -137,11 +156,21 @@ class Tape:
         backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
     ) -> None:
         """Append one primitive. ``backward_fn(g_out) -> per-input grads``."""
+        live = self._live
+        if live is not None:
+            for t in inputs:
+                if id(t) in live:
+                    break
+            else:
+                return
+            live.add(id(output))
         self._nodes.append((tuple(inputs), output, backward_fn))
 
     def reset(self) -> None:
         self._nodes.clear()
         self._consumed = False
+        if self._wrt is not None:
+            self._live = set(self._wrt)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -205,13 +234,20 @@ class ParamStore:
 class Gradients:
     """Result of :func:`backward`: gradient lookup by tensor or by name."""
 
-    __slots__ = ("_by_id",)
+    __slots__ = ("_by_id", "_wrt")
 
-    def __init__(self, by_id: dict[int, np.ndarray]):
+    def __init__(self, by_id: dict[int, np.ndarray], wrt: Optional[dict[int, Tensor]] = None):
         self._by_id = by_id
+        self._wrt = wrt
 
     def wrt(self, t: Tensor) -> np.ndarray:
-        """Gradient w.r.t. ``t``; zeros if ``t`` never influenced the loss."""
+        """Gradient w.r.t. ``t``; zeros if ``t`` never influenced the loss.
+
+        On a tape built with ``wrt``, asking for any other tensor raises
+        ``KeyError``: its gradient was never computed.
+        """
+        if self._wrt is not None and self._wrt.get(id(t)) is not t:
+            raise KeyError(f"gradient of {t!r} was not requested from the tape")
         g = self._by_id.get(id(t))
         if g is None:
             return np.zeros(t.shape, dtype=t.dtype)
@@ -225,7 +261,8 @@ def backward(loss: Tensor, tape: Tape) -> Gradients:
     """Reverse-mode gradients of a taped scalar loss.
 
     Returns exact gradients for every tensor that participated in the taped
-    computation (parameters and, when taped, inputs).
+    computation (parameters and, when taped, inputs), or, when the tape was
+    built with ``wrt``, for those tensors only.
     """
     if loss.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -247,7 +284,7 @@ def backward(loss: Tensor, tape: Tape) -> Gradients:
                 grads[id(t)] = g
             else:
                 grads[id(t)] = acc + g
-    return Gradients(grads)
+    return Gradients(grads, tape._wrt)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +354,13 @@ def neg(a: Tensor, tape: Optional[Tape] = None) -> Tensor:
 
 def silu(x: Tensor, tape: Optional[Tape] = None) -> Tensor:
     """Elementwise x * sigmoid(x) (Swish/SiLU)."""
-    # sigmoid via branch-free stable form
+    # stable sigmoid in one pass: e = exp(-|z|) never overflows, and it
+    # equals exp(-z) where z >= 0 and exp(z) elsewhere, so sig is
+    # 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) on the two sides
     z = x.data
-    sig = np.empty_like(z)
-    pos = z >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    sig[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1.0, e)
+    sig /= 1.0 + e
     out = _result(z * sig, "silu")
     if tape is not None:
         # d/dx [x*s(x)] = s(x) * (1 + x * (1 - s(x)))
@@ -374,7 +411,11 @@ def matmul(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
     out = _result(a.data @ b.data, "matmul")
     if tape is not None:
         da, db = a.data, b.data
-        tape.record((a, b), out, lambda g: (g @ db.T, da.T @ g))
+        want_a, want_b = tape.wants(a), tape.wants(b)
+        tape.record(
+            (a, b), out,
+            lambda g: (g @ db.T if want_a else None, da.T @ g if want_b else None),
+        )
     return out
 
 
@@ -386,7 +427,8 @@ def add_bias(x: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
         raise ShapeError(f"add_bias dtype mismatch: {x.dtype} vs {b.dtype}")
     out = _result(x.data + b.data[None, :], "add_bias")
     if tape is not None:
-        tape.record((x, b), out, lambda g: (g, g.sum(axis=0)))
+        want_b = tape.wants(b)
+        tape.record((x, b), out, lambda g: (g, g.sum(axis=0) if want_b else None))
     return out
 
 
@@ -441,11 +483,16 @@ def conv2d(
     out = _result(out2.reshape(bs, o, oh, ow), "conv2d")
 
     if tape is not None:
+        want_x, want_w, want_b = tape.wants(x), tape.wants(w), tape.wants(b)
 
         def bwd(g: np.ndarray):
             g2 = g.reshape(bs, o, oh * ow)
-            grad_b = g2.sum(axis=(0, 2))
-            grad_w = np.einsum("bon,bkn->ok", g2, cols, optimize=True).reshape(w.shape)
+            grad_b = g2.sum(axis=(0, 2)) if want_b else None
+            grad_w = None
+            if want_w:
+                grad_w = np.einsum("bon,bkn->ok", g2, cols, optimize=True).reshape(w.shape)
+            if not want_x:
+                return None, grad_w, grad_b
             gcols = np.einsum("ok,bon->bkn", w2, g2, optimize=True)
             gcols = gcols.reshape(bs, c, kh, kw, oh, ow)
             gxp = np.zeros((bs, c, hp, wp), dtype=g.dtype)

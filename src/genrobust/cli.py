@@ -19,7 +19,7 @@ import numpy as np
 
 from . import models as mdl
 from .attacks import attack_cascade
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .container import atomic_write_text, load_container, metadata_entries, save_container
 from .data import LabeledDataset, derive_rng
 from .diagnostics import (
@@ -90,20 +90,19 @@ def _out(cfg: ExperimentConfig, args, name: str) -> str:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    train_cfg = cfg.train
-    if getattr(args, "alpha", None) is not None:
-        train_cfg = replace(train_cfg, alpha=args.alpha)
-    if getattr(args, "beta", None) is not None:
-        train_cfg = replace(train_cfg, beta=args.beta)
-    if getattr(args, "epochs", None) is not None:
-        train_cfg = replace(train_cfg, epochs=args.epochs)
-    if getattr(args, "seed", None) is not None:
-        train_cfg = replace(train_cfg, seed=args.seed)
-    if getattr(args, "epsilon", None) is not None:
-        train_cfg = replace(
-            train_cfg, perturbation=replace(train_cfg.perturbation, epsilon=args.epsilon)
-        )
-    return replace(cfg, train=train_cfg)
+    """Write the train flags into the config document and parse it again,
+    so that ``cfg.hash`` covers them; with no flag the config is unchanged."""
+    train_raw = dict(cfg.raw.get("train", {}))
+    for key in ("alpha", "beta", "epochs", "seed"):
+        value = getattr(args, key, None)
+        if value is not None:
+            train_raw[key] = value
+    epsilon = getattr(args, "epsilon", None)
+    if epsilon is not None:
+        train_raw["perturbation"] = {"norm": cfg.train.perturbation.norm, "epsilon": epsilon}
+    if train_raw == cfg.raw.get("train", {}):
+        return cfg
+    return parse_config({**cfg.raw, "train": train_raw})
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,7 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
         )
     ok = sum(1 for r in result.rows if "error" not in r)
     print(f"sweep complete: {ok}/{len(result.rows)} cells ok; results in {out_dir}")
-    return 0
+    return 0 if ok == len(result.rows) else 2
 
 
 # ---------------------------------------------------------------------------

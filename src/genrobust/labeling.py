@@ -80,7 +80,7 @@ def train_nonrobust(
             idx = order[s * batch_size : (s + 1) * batch_size]
             if idx.size == 0:
                 continue
-            tape = Tape()
+            tape = Tape(wrt=[t for _, t in model.params.items()])
             logits = mdl.forward_logits(model, data.images[idx], tape=tape)
             loss = ad.softmax_cross_entropy(logits, data.labels[idx], tape)
             grads = backward(loss, tape).for_params(model.params)

@@ -275,8 +275,30 @@ def save_checkpoint(path, model: Classifier, step: int = 0, config_hash: str = "
     save_container(path, entries)
 
 
+def _check_params(store: ParamStore, expected: ParamStore, what: str) -> None:
+    """Raise ValueError at the first name, shape or dtype that differs from
+    what the model config declares."""
+    for name, want in expected.items():
+        if name not in store:
+            raise ValueError(f"checkpoint lacks {what} {name!r}")
+        got = store[name]
+        if got.shape != want.shape:
+            raise ValueError(
+                f"checkpoint {what} {name!r}: shape {got.shape} != {want.shape} of the model config"
+            )
+        if got.dtype != want.dtype:
+            raise ValueError(
+                f"checkpoint {what} {name!r}: dtype {got.dtype} != {want.dtype} of the model config"
+            )
+    for name in store.names():
+        if name not in expected:
+            raise ValueError(f"checkpoint has {what} {name!r}, which the model config lacks")
+
+
 def load_checkpoint(path) -> tuple[Classifier, int]:
     entries = load_container(path)
+    if "meta:model_config" not in entries:
+        raise ValueError(f"{path}: not a checkpoint (no model config)")
     raw = json.loads(decode_metadata(entries["meta:model_config"]))
     config = ModelConfig(
         kind=raw["kind"],
@@ -294,6 +316,10 @@ def load_checkpoint(path) -> tuple[Classifier, int]:
             params.create(key[len("param:") :], np.asarray(arr))
         elif key.startswith("ema:"):
             ema.create(key[len("ema:") :], np.asarray(arr))
+    expected = init(config).params
+    _check_params(params, expected, "parameter")
+    if len(ema):
+        _check_params(ema, expected, "EMA parameter")
     model = Classifier(config=config, params=params, ema_params=ema if len(ema) else params.copy())
     step = int(decode_metadata(entries["meta:step"])) if "meta:step" in entries else 0
     return model, step

@@ -20,7 +20,8 @@ def cosine_lr(step: int, total: int, lr0: float) -> float:
         raise ValueError("total steps must be >= 1")
     if not 0 <= step <= total:
         raise ValueError(f"step {step} outside [0, {total}]")
-    return lr0 * (1.0 + np.cos(np.pi * step / total)) / 2.0
+    # a Python float: a numpy float64 would turn float32 parameters into float64
+    return float(lr0 * (1.0 + np.cos(np.pi * step / total)) / 2.0)
 
 
 class NesterovSGD:

@@ -307,7 +307,7 @@ def train(
                 shuffle_rng, gen_rng,
             )
             for x, y in batches:
-                tape = Tape()
+                tape = Tape(wrt=[t for _, t in work.params.items()])
                 ids = np.arange(step * config.batch_size, step * config.batch_size + len(y))
                 if config.loss == "trades":
                     loss = trades_loss(

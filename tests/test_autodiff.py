@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from genrobust import autodiff as ad
+from genrobust import models
 from genrobust.autodiff import (
     NumericError,
     ShapeError,
@@ -11,6 +12,8 @@ from genrobust.autodiff import (
     Tensor,
     backward,
 )
+
+from test_models import CNN, MLP
 
 
 def finite_diff(f, arr, index, h=1e-6):
@@ -414,6 +417,106 @@ def test_conv2d_gradcheck():
             idx = tuple(probe_rng.integers(0, s) for s in arr.shape)
             fd = finite_diff(lambda a: f(which, a), arr, idx, h=1e-5)
             assert rel_err(g[idx], fd, floor=1e-8) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the one-pass SiLU and of gradient masking
+
+
+def _silu_masked_reference(z):
+    """The former two-mask SiLU: values and local derivative."""
+    sig = np.empty_like(z)
+    pos = z >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    sig[~pos] = ez / (1.0 + ez)
+    return z * sig, sig * (1.0 + z * (1.0 - sig))
+
+
+SILU_EXTREMES = [0.0, 1e-300, 5e-324, 88.0, 104.0, 700.0, 745.0, 800.0, 1e30]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_bitwise_equal_to_masked_formula(dtype):
+    rng = np.random.default_rng(31)
+    scale = 10.0 ** rng.uniform(-3, 2, size=20000)
+    extremes = np.array(SILU_EXTREMES)
+    z = np.concatenate([scale * rng.choice([-1.0, 1.0], size=scale.size), extremes, -extremes])
+    z = z.astype(dtype)
+    want_out, want_local = _silu_masked_reference(z)
+    x = Tensor(z)
+    tape = Tape()
+    out = ad.silu(x, tape)
+    local = backward(ad.tsum(out, tape), tape).wrt(x)
+    bits = np.int32 if dtype == np.float32 else np.int64
+    assert out.dtype == local.dtype == dtype
+    # compared as bit patterns, so signed zeros must match too
+    assert np.array_equal(out.data.view(bits), want_out.view(bits))
+    assert np.array_equal(local.view(bits), want_local.view(bits))
+
+
+def _model_loss(model, x_t, tape):
+    labels = np.arange(x_t.shape[0]) % model.config.num_classes
+    logits = models.forward_logits(model, x_t, tape=tape)
+    return ad.softmax_cross_entropy(logits, labels, tape)
+
+
+@pytest.mark.parametrize("cfg", [MLP, CNN], ids=["mlp", "cnn"])
+def test_masked_tape_gradients_equal_unmasked(cfg):
+    model = models.init(cfg)
+    x = np.random.default_rng(5).uniform(size=(6, *cfg.input_shape))
+    x_t = Tensor(x)
+    full = Tape()
+    full_grads = backward(_model_loss(model, x_t, full), full)
+
+    input_tape = Tape(wrt=(x_t,))
+    input_grad = backward(_model_loss(model, x_t, input_tape), input_tape).wrt(x_t)
+    assert np.array_equal(input_grad, full_grads.wrt(x_t))
+
+    param_tape = Tape(wrt=[t for _, t in model.params.items()])
+    param_grads = backward(_model_loss(model, x_t, param_tape), param_tape)
+    for name, g in param_grads.for_params(model.params).items():
+        assert np.array_equal(g, full_grads.wrt(model.params[name])), name
+    if cfg.kind == "mlp":
+        assert len(param_tape) == len(full) - 1  # the input reshape is dropped
+
+
+def test_masked_tape_records_no_node_without_live_input():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(3, 4)))
+    w = Tensor(rng.normal(size=(4, 2)))
+    c = Tensor(rng.normal(size=(3, 4)))
+    tape = Tape(wrt=(x,))
+    ad.matmul(c, w, tape)  # no live input: dropped
+    assert len(tape) == 0
+    h = ad.matmul(x, w, tape)
+    ad.tsum(ad.add(h, 1.0, tape), tape)
+    assert len(tape) == 3
+    tape.reset()
+    ad.tsum(h, tape)  # h belonged to the tape before reset; now it is constant
+    assert len(tape) == 0
+
+    model = models.init(MLP)
+    x_t = Tensor(rng.uniform(size=(4, *MLP.input_shape)))
+    tape = Tape(wrt=(x_t,))
+    _model_loss(model, x_t, tape)
+    live = {id(x_t)}
+    for inputs, output, _ in tape._nodes:
+        assert any(id(t) in live for t in inputs)
+        live.add(id(output))
+
+
+def test_masked_tape_gradient_outside_wrt_raises():
+    x = Tensor(np.ones(3))
+    y = Tensor(np.full(3, 2.0))
+    tape = Tape(wrt=(x,))
+    loss = ad.tsum(ad.mul(x, y, tape), tape)
+    grads = backward(loss, tape)
+    assert np.array_equal(grads.wrt(x), np.full(3, 2.0))
+    with pytest.raises(KeyError):
+        grads.wrt(y)
+    with pytest.raises(KeyError):
+        grads.wrt(Tensor(np.ones(3)))  # equal values, another tensor
 
 
 # ---------------------------------------------------------------------------

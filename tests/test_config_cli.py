@@ -9,7 +9,7 @@ import pytest
 
 from genrobust.cli import cli
 from genrobust.config import ConfigError, config_hash, load_config, parse_config
-from genrobust.container import load_container
+from genrobust.container import decode_metadata, load_container
 from genrobust.models import load_checkpoint
 
 
@@ -164,6 +164,25 @@ def test_cli_alpha_override_changes_pool_requirement(tmp_path):
     assert cli(["train", "--config", path, "--alpha", "1.0"]) == 0
 
 
+def test_cli_overrides_reach_the_config_hash(tmp_path):
+    out = str(tmp_path / "run6")
+    path = write_config(tmp_path, minimal_raw(output_dir=out))
+    ckpt = os.path.join(out, "checkpoint.grtc")
+    for step in (["make-data"], ["train-nonrobust"], ["fit-gaussian"],
+                 ["generate", "--per-class", "20"], ["pseudo-label"]):
+        assert cli([*step, "--config", path]) == 0
+
+    def stamped(*flags):
+        assert cli(["train", "--config", path, *flags]) == 0
+        return decode_metadata(load_container(ckpt)["meta:config_hash"])
+
+    plain = stamped()
+    assert plain == load_config(path).hash
+    half = stamped("--alpha", "0.5")
+    reseeded = stamped("--alpha", "1.0", "--seed", "7")
+    assert len({plain, half, reseeded}) == 3
+
+
 def test_cli_checkpoint_round_trip_logits(tmp_path):
     out = str(tmp_path / "run3")
     path = write_config(tmp_path, minimal_raw(output_dir=out))
@@ -204,6 +223,24 @@ def test_cli_sweep_resumes(tmp_path, capsys):
     assert first == second
     assert os.path.exists(os.path.join(out, "sweep-mixing", "cells.csv"))
     assert os.path.exists(os.path.join(out, "sweep-mixing", "summary.csv"))
+
+
+def test_cli_sweep_exits_2_when_a_cell_fails(tmp_path, monkeypatch, capsys):
+    from genrobust import experiments
+
+    real_train = experiments.train
+
+    def failing_train(config, *args, **kwargs):
+        if config.alpha == 0.5:
+            raise RuntimeError("cell failed")
+        return real_train(config, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", failing_train)
+    out = str(tmp_path / "run7")
+    sweep = {"kind": "mixing", "alphas": [0.5, 1.0], "seeds": [0], "eval_size": 20}
+    path = write_config(tmp_path, minimal_raw(output_dir=out, sweep=sweep))
+    assert cli(["sweep", "--config", path]) == 2
+    assert "1/2 cells ok" in capsys.readouterr().out
 
 
 def test_cli_sweep_recomputes_cells_after_config_change(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from genrobust import autodiff as ad
 from genrobust import models
 from genrobust.autodiff import Tape, Tensor, backward
+from genrobust.container import load_container, save_container
 from genrobust.data import LabeledDataset, derive_rng
 from genrobust.models import Classifier, ModelConfig
 
@@ -196,6 +197,36 @@ def test_checkpoint_round_trip_reproduces_logits(tmp_path):
     assert step == 42
     assert np.array_equal(models.forward_logits(loaded, x).data, before)
     assert np.array_equal(models.forward_logits(loaded, x, use_ema=True).data, before_ema)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("param:w1", np.zeros((8, 9)), "shape"),
+        ("ema:b0", np.zeros(8, dtype=np.float32), "dtype"),
+        ("param:w9", np.zeros((2, 2)), "lacks"),
+        ("param:b1", None, "lacks"),
+    ],
+)
+def test_load_checkpoint_rejects_parameters_that_differ_from_config(tmp_path, key, value, message):
+    path = tmp_path / "ckpt.grtc"
+    models.save_checkpoint(path, models.init(MLP))
+    entries = load_container(path)
+    if value is None:
+        del entries[key]
+    else:
+        entries[key] = value
+    save_container(path, entries)
+    name = key.split(":")[1]
+    with pytest.raises(ValueError, match=f"{name!r}.*{message}|{message}.*{name!r}"):
+        models.load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_container_without_model_config(tmp_path):
+    path = tmp_path / "data.grtc"
+    save_container(path, {"param:w0": np.zeros((16, 8))})
+    with pytest.raises(ValueError, match="not a checkpoint"):
+        models.load_checkpoint(path)
 
 
 def test_gradcheck_through_both_architectures():

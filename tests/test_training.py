@@ -8,7 +8,7 @@ from genrobust import models as mdl
 from genrobust.attacks import AttackConfig, PerturbationSet
 from genrobust.autodiff import ParamStore, Tensor
 from genrobust.data import LabeledDataset, derive_rng
-from genrobust.labeling import PseudoLabeledSet
+from genrobust.labeling import PseudoLabeledSet, train_nonrobust
 from genrobust.models import ModelConfig, init
 from genrobust.optim import NesterovSGD, cosine_lr
 from genrobust.training import (
@@ -325,3 +325,17 @@ def test_trades_report_csv_shape():
     lines = csv.strip().split("\n")
     assert lines[0] == "step,lr,train_loss,val_clean,val_robust"
     assert len(lines) == len(report.rows) + 1
+
+
+def test_single_precision_trains_in_float32():
+    ds = blob_dataset(100, seed=13)
+    single = ModelConfig(
+        kind="mlp", input_shape=(1, 2, 4), num_classes=2, hidden=(16,), seed=0, precision="single"
+    )
+    robust, report = train(quick_config(epochs=2), ds, None, init(single))
+    labeler = train_nonrobust(ds, single, epochs=2, batch_size=32)
+    assert report.stopped_step > 0
+    for model in (robust, labeler):
+        for store in (model.params, model.ema_params):
+            for name, t in store.items():
+                assert t.dtype == np.float32, name
