@@ -390,7 +390,10 @@ def _build_parser() -> _Parser:
         "--alpha": dict(type=float, default=None),
         "--beta": dict(type=float, default=None),
         "--epochs": dict(type=int, default=None),
-        "--seed": dict(type=int, default=None),
+        "--seed": dict(type=int, default=None, help=(
+            "set train.seed: batch order, generated-sample draws and the validation "
+            "attack's random starts; model.seed (initial weights) stays as configured, "
+            "whereas sweep cells derive both from the seed index")),
         "--epsilon": dict(type=float, default=None),
     })
     add("attack-eval", _cmd_attack_eval, **{

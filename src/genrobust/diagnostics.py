@@ -99,22 +99,55 @@ def embed(embedder: FeatureEmbedder, images: np.ndarray) -> np.ndarray:
 # Alg. 1: complementarity and coverage
 
 
+# Query rows per Gram block: 64 rows against ~2000 references is ~1 MB.
+_BLOCK_ROWS = 64
+
+
 def _min_against(queries: np.ndarray, refs: np.ndarray, skip_diag: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per query: (min squared distance, argmin index) against refs.
 
-    Row-at-a-time so the per-pair arithmetic matches a naive oracle bitwise;
-    argmin takes the lowest index on exact ties.
+    Exact and bitwise equal to the naive per-row search
+    ``((refs - q) ** 2).sum(axis=1)``, lowest index on exact ties. A block
+    of query rows gets all its squared distances from one Gram product;
+    every reference within a rounding margin of a row's minimum is then
+    re-measured the naive way, and the least of those is the neighbour.
+    With ``skip_diag`` the refs are the queries themselves, at least two.
     """
     n = queries.shape[0]
     mins = np.empty(n)
     args = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        d = ((refs - queries[i]) ** 2).sum(axis=1)
+    rr = (refs**2).sum(axis=1)
+    rr_max = rr.max()
+    for s in range(0, n, _BLOCK_ROWS):
+        q = queries[s : s + _BLOCK_ROWS]
+        qq = (q**2).sum(axis=1)
+        gram = qq[:, None] + rr[None, :] - 2.0 * (q @ refs.T)
         if skip_diag:
-            d[i] = np.inf
-        args[i] = np.argmin(d)
-        mins[i] = d[args[i]]
+            rows = np.arange(len(q))
+            gram[rows, s + rows] = np.inf
+        margin = 1e-9 * (qq + rr_max) + 1e-12
+        near = gram <= (gram.min(axis=1) + margin)[:, None]
+        for i in range(len(q)):
+            cand = np.flatnonzero(near[i])
+            d = ((refs[cand] - q[i]) ** 2).sum(axis=1)
+            j = np.argmin(d)
+            mins[s + i], args[s + i] = d[j], cand[j]
+        del gram, near  # one block is live at a time
     return mins, args
+
+
+def _check_features(sets: dict[str, np.ndarray]) -> None:
+    """Each named set is a finite [N, k] array, with one k for all sets."""
+    widths = set()
+    for name, f in sets.items():
+        if f.ndim != 2:
+            raise ValueError(f"{name} features must be [N, k], got shape {f.shape}")
+        if not np.isfinite(f).all():
+            raise ValueError(f"{name} features hold NaN or infinite values")
+        widths.add(f.shape[1])
+    if len(widths) > 1:
+        shapes = ", ".join(f"{name} {f.shape}" for name, f in sets.items())
+        raise ValueError(f"feature sets must have equal widths, got {shapes}")
 
 
 def complementarity_coverage(
@@ -129,6 +162,7 @@ def complementarity_coverage(
     generated set touches in train (resp. test).
     """
     train_f, test_f, gen_f = (np.asarray(a, dtype=np.float64) for a in (train_f, test_f, gen_f))
+    _check_features({"train": train_f, "test": test_f, "generated": gen_f})
     n = gen_f.shape[0]
     if not (train_f.shape[0] == test_f.shape[0] == n):
         raise ValueError("train, test and generated sets must have equal sizes")
@@ -138,22 +172,15 @@ def complementarity_coverage(
     d_test, a_test = _min_against(gen_f, test_f, skip_diag=False)
     d_self, _ = _min_against(gen_f, gen_f, skip_diag=True)
 
-    counts = [0, 0, 0]  # train, test, self
-    for i in range(n):
-        if d_train[i] <= d_test[i] and d_train[i] <= d_self[i]:
-            counts[0] += 1
-        elif d_test[i] <= d_self[i]:
-            counts[1] += 1
-        else:
-            counts[2] += 1
-    v_train = len(set(a_train.tolist())) / n
-    v_test = len(set(a_test.tolist())) / n
+    to_train = (d_train <= d_test) & (d_train <= d_self)
+    to_test = ~to_train & (d_test <= d_self)
+    n_train, n_test = int(to_train.sum()), int(to_test.sum())
     return DiagnosticsReport(
-        c_train=counts[0] / n,
-        c_test=counts[1] / n,
-        c_self=counts[2] / n,
-        v_train=v_train,
-        v_test=v_test,
+        c_train=n_train / n,
+        c_test=n_test / n,
+        c_self=(n - n_train - n_test) / n,
+        v_train=np.unique(a_train).size / n,
+        v_test=np.unique(a_test).size / n,
     )
 
 
@@ -167,10 +194,11 @@ def unique_nn_coverage(queries: np.ndarray, refs: np.ndarray) -> float:
     """
     queries = np.asarray(queries, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)
+    _check_features({"query": queries, "reference": refs})
     if len(queries) < 1 or len(refs) < 1:
         raise ValueError("need non-empty feature sets")
     _, args = _min_against(queries, refs, skip_diag=False)
-    return len(set(args.tolist())) / len(queries)
+    return np.unique(args).size / len(queries)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from genrobust.cli import cli
+from genrobust.cli import _apply_overrides, _build_parser, cli
 from genrobust.config import ConfigError, config_hash, load_config, parse_config
 from genrobust.container import decode_metadata, load_container
 from genrobust.models import load_checkpoint
@@ -181,6 +181,17 @@ def test_cli_overrides_reach_the_config_hash(tmp_path):
     half = stamped("--alpha", "0.5")
     reseeded = stamped("--alpha", "1.0", "--seed", "7")
     assert len({plain, half, reseeded}) == 3
+
+
+def test_cli_seed_sets_train_seed_not_model_seed(tmp_path):
+    raw = minimal_raw(model={"kind": "mlp", "hidden": [16], "seed": 3})
+    path = write_config(tmp_path, raw)
+    args = _build_parser().parse_args(["train", "--config", path, "--seed", "5"])
+    plain = load_config(path)
+    seeded = _apply_overrides(plain, args)
+    assert seeded.raw["train"]["seed"] == 5 and seeded.train.seed == 5
+    assert seeded.raw["model"] == raw["model"] and seeded.model.seed == 3
+    assert seeded.hash != plain.hash
 
 
 def test_cli_checkpoint_round_trip_logits(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from genrobust import diagnostics
 from genrobust import models as mdl
 from genrobust.attacks import PerturbationSet
 from genrobust.data import LabeledDataset, derive_rng
@@ -15,6 +16,7 @@ from genrobust.diagnostics import (
     is_score,
     loss_landscape,
     uniform_unique_nn_baseline,
+    unique_nn_coverage,
 )
 from genrobust.models import ModelConfig
 
@@ -134,13 +136,147 @@ def test_report_invariant_enforced():
 
 
 def test_unique_nn_coverage_identical_halves():
-    from genrobust.diagnostics import unique_nn_coverage
-
     rng = np.random.default_rng(31)
     a = rng.uniform(size=(12, 3))
     assert unique_nn_coverage(a, a.copy()) == 1.0
     single = unique_nn_coverage(a, a[:1])
     assert single == pytest.approx(1 / 12)
+
+
+@pytest.mark.parametrize(
+    "shapes, message",
+    [
+        (((6,), (6, 2), (6, 2)), "train features must be"),
+        (((6, 2), (6, 2, 1), (6, 2)), "test features must be"),
+        (((6, 2), (6, 2), (6, 3)), "equal widths"),
+    ],
+)
+def test_feature_shapes_validated(shapes, message):
+    train, test, gen = (np.zeros(s) for s in shapes)
+    with pytest.raises(ValueError, match=message):
+        complementarity_coverage(train, test, gen)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["train", "test", "generated"])
+def test_non_finite_features_rejected(bad, which):
+    rng = np.random.default_rng(33)
+    sets = {name: rng.uniform(size=(8, 3)) for name in ("train", "test", "generated")}
+    sets[which][5, 1] = bad
+    with pytest.raises(ValueError, match=which):
+        complementarity_coverage(sets["train"], sets["test"], sets["generated"])
+
+
+def test_unique_nn_coverage_validates_features():
+    rng = np.random.default_rng(34)
+    a, b = rng.uniform(size=(6, 3)), rng.uniform(size=(6, 3))
+    with pytest.raises(ValueError, match="widths"):
+        unique_nn_coverage(a, b[:, :2])
+    with pytest.raises(ValueError, match="query"):
+        unique_nn_coverage(a[:, 0], b)
+    b[2, 2] = np.nan
+    with pytest.raises(ValueError, match="reference"):
+        unique_nn_coverage(a, b)
+
+
+# ---------------------------------------------------------------------------
+# blocked nearest-neighbour search against the naive per-row search
+
+
+def naive_min_against(queries, refs, skip_diag):
+    mins = np.empty(len(queries))
+    args = np.empty(len(queries), dtype=np.int64)
+    for i in range(len(queries)):
+        d = ((refs - queries[i]) ** 2).sum(axis=1)
+        if skip_diag:
+            d[i] = np.inf
+        args[i] = np.argmin(d)
+        mins[i] = d[args[i]]
+    return mins, args
+
+
+def assert_matches_naive(queries, refs, skip_diag):
+    got_d, got_a = diagnostics._min_against(queries, refs, skip_diag)
+    want_d, want_a = naive_min_against(queries, refs, skip_diag)
+    assert np.array_equal(got_a, want_a)
+    assert np.array_equal(got_d, want_d)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # 150 queries in blocks of 16: nine full blocks and a ragged tail of 6
+    monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", 16)
+
+
+def _near_ties(rng, n, k):
+    """Four references per query along one direction, the nearest last:
+    two rounding margins farther, half a margin farther, and a millionth of
+    a margin farther (below the Gram product's own rounding)."""
+    queries = rng.normal(size=(n, k))
+    u = rng.normal(size=(n, k))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    base = 0.25
+    rr_max = ((np.linalg.norm(queries, axis=1) + 1.0) ** 2).max()
+    for _ in range(2):  # settle the margin on the references' own norms
+        margin = 1e-9 * ((queries**2).sum(axis=1) + rr_max) + 1e-12
+        extras = (2.0, 0.5, 1e-6, 0.0)
+        refs = np.empty((len(extras) * n, k))
+        for slot, extra in enumerate(extras):
+            refs[slot :: len(extras)] = queries + np.sqrt(base + extra * margin)[:, None] * u
+        rr_max = (refs**2).sum(axis=1).max()
+    return queries, refs
+
+
+def _cases(rng, n, k):
+    grid = lambda m: rng.integers(0, 8, size=(m, k)) / 8.0
+    pool = rng.normal(size=(n // 3, k))
+    # exact ties, and gaps far below the Gram product's cancellation error
+    offset = lambda m: 1e4 + 1e-3 * grid(m)
+    return {
+        "grid-ties": (grid(n), grid(n + 7)),
+        "duplicates": (pool[rng.integers(0, len(pool), n)], pool[rng.integers(0, len(pool), n)]),
+        "near-ties": _near_ties(rng, n, k),
+        "offset-1e4": (offset(n), offset(n)),
+    }
+
+
+@pytest.mark.parametrize("case", ["grid-ties", "duplicates", "near-ties", "offset-1e4"])
+def test_min_against_matches_naive_across_blocks(small_blocks, case):
+    rng = np.random.default_rng(35)
+    for k in (1, 2, 5, 8, 13, 100):
+        queries, refs = _cases(rng, 150, k)[case]
+        assert_matches_naive(queries, refs, skip_diag=False)
+        assert_matches_naive(queries, queries, skip_diag=True)
+
+
+def test_min_against_matches_naive_every_width(small_blocks):
+    rng = np.random.default_rng(36)
+    for k in range(1, 101):
+        queries = rng.integers(0, 8, size=(150, k)) / 8.0
+        refs = np.concatenate([rng.normal(size=(60, k)), queries[:40]])
+        assert_matches_naive(queries, refs, skip_diag=False)
+        assert_matches_naive(queries, queries, skip_diag=True)
+
+
+def test_min_against_matches_naive_at_default_block_size():
+    rng = np.random.default_rng(37)
+    queries = rng.normal(size=(2000, 100))
+    queries[1500:] = queries[rng.integers(0, 1500, 500)]  # duplicates
+    assert_matches_naive(queries, queries, skip_diag=True)
+
+
+def test_unique_nn_coverage_oracle_equivalence():
+    rng = np.random.default_rng(32)
+    for trial in range(40):
+        nq, nr = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        k = int(rng.integers(1, 9))
+        if trial % 2 == 0:
+            mk = lambda m: rng.integers(0, 8, size=(m, k)) / 8.0  # exact ties likely
+        else:
+            mk = lambda m: rng.normal(size=(m, k))
+        queries, refs = mk(nq), mk(nr)
+        _, args = naive_min_against(queries, refs, skip_diag=False)
+        assert unique_nn_coverage(queries, refs) == len(set(args.tolist())) / nq, f"trial {trial}"
 
 
 # ---------------------------------------------------------------------------
