@@ -280,18 +280,14 @@ def pgd(
     """PGD on a classifier; objective and inner optimizer set by cfg.
 
     y_or_reference holds integer labels [B], or for kl-vs-clean the clean
-    logits [B,C] (None: computed here, and success is not tracked).
+    logits [B,C].
     """
-    labels = clean = None
+    clean = None
     if cfg.objective == "kl-vs-clean":
-        if y_or_reference is None:
-            # clean logits computed once, never re-taped
-            ref = mdl.forward_logits(model, x, use_ema=use_ema).data
-        else:
-            ref = np.asarray(y_or_reference)
-            if ref.ndim != 2:
-                raise ValueError("kl-vs-clean needs clean logits [B,C] as reference")
-            labels = np.argmax(ref, axis=1)
+        ref = np.asarray(y_or_reference)
+        if ref.ndim != 2:
+            raise ValueError("kl-vs-clean needs clean logits [B,C] as reference")
+        labels = np.argmax(ref, axis=1)
         clean = Tensor(np.asarray(ref, dtype=model.config.dtype))
     else:
         labels = np.asarray(y_or_reference)
@@ -372,6 +368,18 @@ class CascadeConfig:
     step_size: Optional[float] = None  # None: 0.1 for adam, 2.5*eps/steps for sign
     seed: int = 0
 
+    def __post_init__(self):
+        if self.stage1_steps < 0 or self.stage2_steps < 0:
+            raise ValueError("stage1_steps and stage2_steps must be >= 0")
+        if self.stage1_restarts < 1 or self.stage2_restarts < 1:
+            raise ValueError("stage1_restarts and stage2_restarts must be >= 1")
+        if self.top_k < 0:
+            raise ValueError("top_k must be >= 0 (0 runs stage 1 only)")
+        if self.inner_optimizer not in _OPTIMIZERS:
+            raise ValueError(f"unknown inner optimizer {self.inner_optimizer!r}")
+        if self.step_size is not None and not self.step_size > 0:
+            raise ValueError("step_size must be None or positive")
+
     def resolved_step(self, pset: PerturbationSet, steps: int) -> float:
         if self.step_size is not None:
             return self.step_size
@@ -385,9 +393,6 @@ class CascadeResult:
     robust_accuracy: float
     clean_accuracy: float
     records: list  # dict per example: id, clean_correct, stage survival, worst_margin
-
-    def to_rows(self) -> list[dict]:
-        return self.records
 
 
 def _cascade_chunk(

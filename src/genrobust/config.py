@@ -132,10 +132,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     generation = _build(GenerationSection, raw.get("generation", {}), "generation")
 
     train_raw = dict(raw.get("train", {}))
-    inner = _build(AttackConfig, train_raw.pop("inner_attack", {
-        "steps": 10, "step_size": 0.1, "inner_optimizer": "adam",
-        "objective": "kl-vs-clean", "random_start": True,
-    }), "train.inner_attack")
+    if "inner_attack" in train_raw:
+        inner = _build(AttackConfig, train_raw.pop("inner_attack"), "train.inner_attack")
+    else:
+        inner = TrainConfig().inner_attack
     pert_raw = train_raw.pop("perturbation", {"norm": "linf", "epsilon": 0.02})
     pert = _build(PerturbationSet, pert_raw, "train.perturbation")
     early = _build(EarlyStopConfig, train_raw.pop("early_stop", {}), "train.early_stop")

@@ -50,6 +50,17 @@ class ContainerError(ValueError):
     """Malformed or corrupt container file."""
 
 
+class _Entries(dict):
+    """name -> array; a lookup the file cannot serve names file and entry."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, name):
+        raise ValueError(f"{self.path}: no entry {name!r}")
+
+
 def _storage_array(name: str, arr: np.ndarray) -> tuple[int, np.ndarray]:
     """Map an array onto one of the three wire dtypes."""
     a = np.asarray(arr)
@@ -141,7 +152,7 @@ def load_container(path: str | os.PathLike) -> dict[str, np.ndarray]:
     if version > FORMAT_VERSION:
         raise ContainerError(f"unsupported format version {version}")
     count = rd.u32()
-    out: dict[str, np.ndarray] = {}
+    out = _Entries(path)
     for _ in range(count):
         name_len = rd.u32()
         name = rd.take(name_len).decode("utf-8")

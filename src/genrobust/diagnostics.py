@@ -70,14 +70,6 @@ class DiagnosticsReport:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-def _features(backbone: Classifier, images: np.ndarray, batch: int = 256) -> np.ndarray:
-    outs = [
-        mdl.forward_penultimate(backbone, images[s : s + batch])
-        for s in range(0, images.shape[0], batch)
-    ]
-    return np.concatenate(outs) if outs else np.zeros((0, 0))
-
-
 def fit_feature_embedder(
     backbone: Classifier,
     train_images: np.ndarray,
@@ -85,14 +77,14 @@ def fit_feature_embedder(
     k: int = 100,
 ) -> FeatureEmbedder:
     """PCA over penultimate features of train plus test images jointly."""
-    feats = _features(backbone, np.concatenate([train_images, test_images]))
+    feats = mdl.forward_penultimate(backbone, np.concatenate([train_images, test_images]))
     k_eff = min(k, feats.shape[1], feats.shape[0] - 1)
     return FeatureEmbedder(backbone=backbone, pca=fit_pca(feats, k_eff))
 
 
 def embed(embedder: FeatureEmbedder, images: np.ndarray) -> np.ndarray:
     """Penultimate activations projected by the embedder's PCA, [N, k]."""
-    return embedder.pca.project(_features(embedder.backbone, images))
+    return embedder.pca.project(mdl.forward_penultimate(embedder.backbone, images))
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +249,7 @@ def is_score(
         raise ValueError("splits must be >= 1")
     if n < 2 * splits:
         raise ValueError(f"need at least {2 * splits} images for {splits} splits")
-    probs = []
-    for s in range(0, n, 256):
-        logits = mdl.forward_logits(classifier, images[s : s + 256]).data
-        probs.append(softmax(logits))
-    p = np.concatenate(probs)
+    p = softmax(mdl.predict_logits(classifier, images))
     scores = []
     bounds = np.linspace(0, n, splits + 1, dtype=int)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -348,12 +336,9 @@ def loss_landscape(
     else:
         v = v * pset.epsilon
     axis = np.linspace(-grid_half_extent, grid_half_extent, resolution)
-    grid = np.empty((resolution, resolution))
     points = np.stack(
         [np.clip(x[0] + a * u + b * v, 0.0, 1.0) for a in axis for b in axis]
     )
-    for s in range(0, points.shape[0], 256):
-        logits = mdl.forward_logits(model, points[s : s + 256]).data
-        m = margin_loss(logits, np.full(logits.shape[0], int(y)))
-        grid.ravel()[s : s + 256] = m
+    margins = margin_loss(mdl.predict_logits(model, points), np.full(len(points), int(y)))
+    grid = margins.astype(np.float64).reshape(resolution, resolution)
     return {"axis": axis, "grid": grid, "u": u, "v": v}

@@ -670,13 +670,11 @@ def run_scaling_study(
         pool = sources.pool.subset(idx)
         model = _train_cell(base, model_cfg, sources.train, pool, cell_seed)
         metrics = _evaluate_cell(model, sources.test, base, cascade, eval_size)
-        gen_ds = LabeledDataset(
-            gen_holdout.images[: eval_size], gen_holdout.pseudo_labels[: eval_size]
-        )
-        gen_res = attack_cascade(model, gen_ds, base.perturbation, cascade)
-        metrics["gen_robust_acc"] = gen_res.robust_accuracy
-        metrics["gen_clean_acc"] = gen_res.clean_accuracy
-        metrics["gap"] = gen_res.robust_accuracy - metrics["robust_acc"]
+        gen_ds = LabeledDataset(gen_holdout.images, gen_holdout.pseudo_labels)
+        gen = _evaluate_cell(model, gen_ds, base, cascade, eval_size)
+        metrics["gen_robust_acc"] = gen["robust_acc"]
+        metrics["gen_clean_acc"] = gen["clean_acc"]
+        metrics["gap"] = gen["robust_acc"] - metrics["robust_acc"]
         return metrics
 
     return _run_sweep("pool_size", [int(c) for c in sample_counts], seeds, cell, out_dir, base.seed, config_hash)

@@ -95,7 +95,6 @@ def pseudo_label(
     images: np.ndarray,
     score_kind: str = "max-prob",
     labeler_id: str = "",
-    batch: int = 256,
 ) -> PseudoLabeledSet:
     """Argmax labels plus confidence scores from the non-robust labeler.
 
@@ -105,18 +104,13 @@ def pseudo_label(
     if score_kind not in ("max-prob", "max-logit"):
         raise ValueError(f"unknown score kind {score_kind!r}")
     images = np.asarray(images)
-    labels = np.empty(images.shape[0], dtype=np.int64)
-    scores = np.empty(images.shape[0], dtype=np.float64)
-    for start in range(0, images.shape[0], batch):
-        chunk = images[start : start + batch]
-        logits = mdl.forward_logits(labeler, chunk).data
-        labels[start : start + batch] = np.argmax(logits, axis=1)
-        if score_kind == "max-prob":
-            scores[start : start + batch] = ad.softmax(logits).max(axis=1)
-        else:
-            scores[start : start + batch] = logits.max(axis=1)
+    logits = mdl.predict_logits(labeler, images)
+    scores = ad.softmax(logits) if score_kind == "max-prob" else logits
     return PseudoLabeledSet(
-        images=images, pseudo_labels=labels, scores=scores, labeler_id=labeler_id
+        images=images,
+        pseudo_labels=np.argmax(logits, axis=1).astype(np.int64),
+        scores=scores.max(axis=1).astype(np.float64),
+        labeler_id=labeler_id,
     )
 
 

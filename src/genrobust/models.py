@@ -29,6 +29,7 @@ __all__ = [
     "ema_update",
     "ema_snapshot",
     "accuracy",
+    "predict_logits",
     "predict_labels",
     "save_checkpoint",
     "load_checkpoint",
@@ -202,12 +203,26 @@ def forward_logits(
     return logits
 
 
+# rows per untaped inference forward; bounds the activations held at once
+_INFER_ROWS = 256
+
+
+def _untaped_rows(fn, images: np.ndarray) -> np.ndarray:
+    """fn over blocks of _INFER_ROWS rows, joined; an empty input still gets
+    one (empty) forward, so the result keeps its trailing shape and dtype."""
+    starts = range(0, max(len(images), 1), _INFER_ROWS)
+    return np.concatenate([fn(images[s : s + _INFER_ROWS]) for s in starts])
+
+
 def forward_penultimate(model: Classifier, x, use_ema: bool = False) -> np.ndarray:
-    """Penultimate-layer activations (feature embedder backbone); untaped."""
+    """Penultimate-layer activations (feature embedder backbone); untaped,
+    one forward per 256 rows."""
     params = model.ema_params if use_ema else model.params
-    xt = _coerce_input(x, model.config.dtype)
-    _, penult = _run(params, model.config, xt, None)
-    return penult.data
+
+    def block(rows):
+        return _run(params, model.config, _coerce_input(rows, model.config.dtype), None)[1].data
+
+    return _untaped_rows(block, x)
 
 
 def ema_update(model: Classifier, tau: float) -> None:
@@ -228,13 +243,14 @@ def ema_snapshot(model: Classifier) -> Classifier:
     return out
 
 
-def predict_labels(model: Classifier, images: np.ndarray, use_ema: bool = False, batch: int = 256) -> np.ndarray:
+def predict_logits(model: Classifier, images: np.ndarray, use_ema: bool = False) -> np.ndarray:
+    """Untaped logits [N, C_out], one forward per 256 rows."""
+    return _untaped_rows(lambda rows: forward_logits(model, rows, use_ema=use_ema).data, images)
+
+
+def predict_labels(model: Classifier, images: np.ndarray, use_ema: bool = False) -> np.ndarray:
     """Argmax class per image; ties break toward the lowest class index."""
-    out = []
-    for start in range(0, images.shape[0], batch):
-        logits = forward_logits(model, images[start : start + batch], use_ema=use_ema)
-        out.append(np.argmax(logits.data, axis=1))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    return np.argmax(predict_logits(model, images, use_ema=use_ema), axis=1)
 
 
 def accuracy(model: Classifier, data: LabeledDataset, use_ema: bool = False) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as mdl
-from .attacks import AttackConfig, PerturbationSet, pgd
+from .attacks import AttackConfig, CascadeConfig, PerturbationSet, attack_cascade, pgd
 from .autodiff import NumericError, Tape, Tensor, backward
 from .data import LabeledDataset, derive_rng
 from .labeling import PseudoLabeledSet
@@ -44,6 +44,14 @@ class EarlyStopConfig:
     validation_size: int = 256
     pgd_steps: int = 40
     eval_every: int = 5  # epochs between validation attacks
+
+    def __post_init__(self):
+        if self.validation_size < 0:
+            raise ValueError("validation_size must be >= 0")
+        if self.pgd_steps < 0:
+            raise ValueError("pgd_steps must be >= 0")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
 
 
 def _default_inner_attack() -> AttackConfig:
@@ -215,31 +223,6 @@ class TrainReport:
         return buf.getvalue()
 
 
-def _validation_robust_accuracy(
-    model: Classifier, val: LabeledDataset, pset: PerturbationSet, steps: int, seed: int
-) -> float:
-    """PGD-N robust accuracy of the EMA weights on the validation split."""
-    if pset.epsilon == 0.0 or steps == 0:
-        return mdl.accuracy(model, val, use_ema=True)
-    cfg = AttackConfig(
-        steps=steps,
-        step_size=max(2.5 * pset.epsilon / steps, 1e-12),
-        inner_optimizer="sign-sgd",
-        restarts=1,
-        objective="cross-entropy",
-        random_start=True,
-        seed=seed,
-    )
-    correct = 0
-    batch = 128
-    for start in range(0, len(val), batch):
-        x = val.images[start : start + batch]
-        y = val.labels[start : start + batch]
-        res = pgd(model, x, y, pset, cfg, example_ids=np.arange(start, start + len(y)), use_ema=True)
-        correct += int(np.count_nonzero(~res.success))
-    return correct / len(val)
-
-
 def train(
     config: TrainConfig,
     orig: LabeledDataset,
@@ -250,7 +233,8 @@ def train(
     validation step, per-evaluation report). The input model is not mutated.
 
     The original dataset's last ``early_stop.validation_size`` examples are
-    held out for PGD validation and never trained on.
+    held out for validation and never trained on: stage 1 of the evaluation
+    cascade, one restart of sign-gradient PGD, on the EMA weights.
     """
     _, n_gen = mixed_counts(config.alpha, config.batch_size)
     if n_gen > 0 and (gen is None or len(gen) == 0):
@@ -271,6 +255,11 @@ def train(
     gen_rng = derive_rng("train-gen", config.seed)
     optimizer = NesterovSGD(work.params, momentum=config.momentum, weight_decay=config.weight_decay)
 
+    pgd_steps = config.early_stop.pgd_steps
+    val_cascade = CascadeConfig(
+        stage1_steps=pgd_steps, stage1_restarts=1, top_k=0, inner_optimizer="sign-sgd",
+        seed=config.seed,
+    )
     step = 0
     losses: list[float] = []
     best = (-1.0, -1)  # (val robust accuracy, step)
@@ -280,11 +269,11 @@ def train(
         nonlocal best, best_model
         if val_n == 0:
             return
-        val_clean = mdl.accuracy(work, val_split, use_ema=True)
-        val_robust = _validation_robust_accuracy(
-            work, val_split, config.perturbation, config.early_stop.pgd_steps,
-            seed=config.seed,
-        )
+        if config.perturbation.epsilon == 0.0 or pgd_steps == 0:
+            val_clean = val_robust = mdl.accuracy(work, val_split, use_ema=True)
+        else:
+            res = attack_cascade(work, val_split, config.perturbation, val_cascade, use_ema=True)
+            val_clean, val_robust = res.clean_accuracy, res.robust_accuracy
         mean_loss = float(np.mean(losses)) if losses else 0.0
         losses.clear()
         report.rows.append(

@@ -368,6 +368,7 @@ def test_criterion_6_alpha_one_reduction():
 # criterion 7: mixing-sweep trend
 
 
+@pytest.mark.slow
 def test_criterion_7_mixing_trend(gauss_sources):
     t0 = time.time()
     src = gauss_sources
@@ -398,6 +399,7 @@ def test_criterion_7_mixing_trend(gauss_sources):
 # criterion 8: labeler-accuracy trend
 
 
+@pytest.mark.slow
 def test_criterion_8_condition1_trend(gauss_sources):
     t0 = time.time()
     levels = [0.48, 0.75, 0.94, 1.0]
@@ -422,6 +424,7 @@ def test_criterion_8_condition1_trend(gauss_sources):
 # criterion 9: coverage trend and capacity interplay
 
 
+@pytest.mark.slow
 def test_criterion_9_coverage_trend(warped_sources_rank4, warped_true_sets):
     t0 = time.time()
     true_test, true_pool = warped_true_sets
@@ -455,6 +458,7 @@ def test_criterion_9_coverage_trend(warped_sources_rank4, warped_true_sets):
 # criterion 10: sample-count scaling
 
 
+@pytest.mark.slow
 def test_criterion_10_scaling_trend(warped_sources_full):
     t0 = time.time()
     src = warped_sources_full

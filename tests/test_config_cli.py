@@ -91,6 +91,42 @@ def test_bad_value_reported_with_section():
         parse_config(raw)
 
 
+BAD_EVALUATION_VALUES = [
+    ("train.early_stop", "eval_every", 0),
+    ("train.early_stop", "validation_size", -5),
+    ("train.early_stop", "pgd_steps", -1),
+    ("cascade", "stage1_steps", -1),
+    ("cascade", "stage2_steps", -1),
+    ("cascade", "stage1_restarts", 0),
+    ("cascade", "stage2_restarts", 0),
+    ("cascade", "top_k", -1),
+    ("cascade", "inner_optimizer", "bogus"),
+    ("cascade", "step_size", 0.0),
+]
+
+
+def _with_value(section, key, value, **over):
+    raw = minimal_raw(**over)
+    target = raw["train"]["early_stop"] if section == "train.early_stop" else raw["cascade"]
+    target[key] = value
+    return raw
+
+
+@pytest.mark.parametrize("section, key, value", BAD_EVALUATION_VALUES)
+def test_bad_validation_and_cascade_values_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=f"^{section}: ") as err:
+        parse_config(_with_value(section, key, value))
+    assert key in str(err.value) or repr(value) in str(err.value)
+
+
+def test_cli_train_rejects_a_bad_eval_every_before_any_compute(tmp_path, capsys):
+    out = tmp_path / "run8"
+    path = write_config(tmp_path, _with_value("train.early_stop", "eval_every", 0, output_dir=str(out)))
+    assert cli(["train", "--config", path]) == 1
+    assert "eval_every" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_shape_mismatch_rejected():
     raw = minimal_raw()
     raw["model"]["input_shape"] = [1, 8, 8]
@@ -221,6 +257,16 @@ def test_cli_rejects_sample_labels_beyond_class_count(tmp_path):
     save_sample_set(bad, np.random.default_rng(0).uniform(size=(4, 1, 4, 4)),
                     np.array([0, 1, 2, 7]), provenance="external:test")
     assert cli(["pseudo-label", "--config", path, "--samples", bad]) == 1
+
+
+def test_cli_dataset_reader_rejects_another_kind_of_container(tmp_path):
+    from genrobust.cli import _read_dataset
+    from genrobust.labeling import PseudoLabeledSet, save_pseudo_labeled
+
+    path = tmp_path / "pool.grtc"
+    save_pseudo_labeled(path, PseudoLabeledSet(np.zeros((2, 1, 4, 4)), np.zeros(2), np.ones(2)))
+    with pytest.raises(ValueError, match=r"pool\.grtc: no entry 'labels'"):
+        _read_dataset(path)
 
 
 def test_cli_sweep_resumes(tmp_path, capsys):

@@ -240,6 +240,13 @@ def test_generator_round_trip(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_load_generator_rejects_another_kind_of_container(tmp_path):
+    path = tmp_path / "samples.grtc"
+    save_sample_set(path, np.zeros((3, 1, 2, 2)), np.zeros(3, dtype=np.int64), provenance="x")
+    with pytest.raises(ValueError, match=r"samples\.grtc: no entry 'pca\.mean'"):
+        load_generator(path)
+
+
 def test_sample_set_round_trip(tmp_path):
     rng = np.random.default_rng(18)
     images = rng.uniform(size=(6, 1, 2, 2))

@@ -240,3 +240,12 @@ def test_pseudo_labeled_round_trip(tmp_path):
     assert np.array_equal(out.pseudo_labels, pset.pseudo_labels)
     assert np.array_equal(out.scores, pset.scores)
     assert out.labeler_id == "labeler-v1"
+
+
+def test_load_pseudo_labeled_rejects_another_kind_of_container(tmp_path):
+    from genrobust.container import save_container
+
+    path = tmp_path / "generator.grtc"
+    save_container(path, {"pca.mean": np.zeros(4)})
+    with pytest.raises(ValueError, match=r"generator\.grtc: no entry 'images'"):
+        load_pseudo_labeled(path)

@@ -262,3 +262,13 @@ def test_gradcheck_through_both_architectures():
                 fd = (loss_at(name, plus) - loss_at(name, minus)) / 2e-5
                 denom = max(abs(fd), abs(g[idx]), 1e-8)
                 assert abs(fd - g[idx]) / denom < 1e-5
+
+
+@pytest.mark.parametrize("cfg", [MLP, CNN], ids=["mlp", "small-cnn"])
+def test_predict_logits_equals_forward_per_256_rows(cfg):
+    m = models.init(cfg)
+    images = np.random.default_rng(3).uniform(size=(600, *cfg.input_shape))  # 256 + 256 + 88
+    want = np.concatenate(
+        [models.forward_logits(m, images[s : s + 256]).data for s in range(0, 600, 256)]
+    )
+    assert np.array_equal(models.predict_logits(m, images), want)

@@ -339,3 +339,32 @@ def test_single_precision_trains_in_float32():
         for store in (model.params, model.ema_params):
             for name, t in store.items():
                 assert t.dtype == np.float32, name
+
+
+def test_validation_equals_stage1_pgd_on_the_ema_weights():
+    """One evaluation (eval_every == epochs) gives the figures of one restart
+    of sign-gradient cross-entropy PGD over 128-row chunks on the EMA
+    weights, counted as surviving examples, and of plain clean accuracy."""
+    from genrobust.attacks import pgd
+
+    ds = blob_dataset(300, seed=14)
+    cfg = quick_config(
+        epochs=3, early_stop=EarlyStopConfig(validation_size=200, pgd_steps=10, eval_every=3)
+    )
+    model, report = train(cfg, ds, None, init(MCFG))
+    assert len(report.rows) == 1
+    val = ds.subset(np.arange(100, 300))
+    steps, eps = cfg.early_stop.pgd_steps, cfg.perturbation.epsilon
+    attack = AttackConfig(
+        steps=steps, step_size=max(2.5 * eps / steps, 1e-12), inner_optimizer="sign-sgd",
+        restarts=1, objective="cross-entropy", random_start=True, seed=cfg.seed,
+    )
+    survived = 0
+    for s in range(0, len(val), 128):
+        res = pgd(
+            model, val.images[s : s + 128], val.labels[s : s + 128], cfg.perturbation, attack,
+            example_ids=np.arange(s, min(s + 128, len(val))), use_ema=True,
+        )
+        survived += int(np.count_nonzero(~res.success))
+    assert report.rows[0]["val_robust"] == survived / len(val)
+    assert report.rows[0]["val_clean"] == mdl.accuracy(model, val, use_ema=True)
