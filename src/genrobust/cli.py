@@ -295,6 +295,8 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
         cfg.dataset,
         _labeler_model_config(cfg),
         labeler_epochs=cfg.labeler.epochs,
+        labeler_lr0=cfg.labeler.lr0,
+        labeler_batch_size=cfg.labeler.batch_size,
         pool_per_class=cfg.generation.samples_per_class,
         pca_components=cfg.generation.pca_components,
     )

@@ -54,6 +54,12 @@ class LabelerSection:
     batch_size: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        # the labeler trains through training.train, under TrainConfig's checks
+        TrainConfig(epochs=self.epochs, batch_size=self.batch_size, lr0=self.lr0)
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be positive, got {self.hidden}")
+
 
 @dataclass
 class GenerationSection:

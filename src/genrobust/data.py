@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LabeledDataset", "derive_rng", "key_to_int"]
+__all__ = ["LabeledDataset", "PseudoLabeledSet", "derive_rng", "key_to_int"]
 
 
 def key_to_int(key) -> int:
@@ -68,3 +68,21 @@ class LabeledDataset:
 
     def class_counts(self, num_classes: int) -> np.ndarray:
         return np.bincount(self.labels, minlength=num_classes)
+
+
+@dataclass
+class PseudoLabeledSet:
+    """Generated images with labeler-assigned labels and confidence scores."""
+
+    images: np.ndarray  # [N, C, H, W]
+    pseudo_labels: np.ndarray  # [N]
+    scores: np.ndarray  # [N] max softmax probability (or max logit, see flag)
+    labeler_id: str = ""
+
+    def __len__(self) -> int:
+        return self.images.shape[0]
+
+    def subset(self, idx) -> "PseudoLabeledSet":
+        return PseudoLabeledSet(
+            self.images[idx], self.pseudo_labels[idx], self.scores[idx], self.labeler_id
+        )

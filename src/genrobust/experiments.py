@@ -425,12 +425,14 @@ def prepare_sources(
     labeler_epochs: int = 40,
     pool_per_class: int = 1000,
     pca_components: Optional[int] = None,
+    labeler_lr0: float = 0.1,
+    labeler_batch_size: int = 64,
 ) -> ExperimentSources:
     """Steps (i)-(ii): data, non-robust labeler, Gaussian fit, labeled pool."""
     train_ds, test_ds, holdout_ds = make_synthetic_dataset(spec)
     labeler = train_nonrobust(
-        train_ds, labeler_config, epochs=labeler_epochs,
-        rng=derive_rng("sources-labeler", spec.seed),
+        train_ds, labeler_config, epochs=labeler_epochs, lr0=labeler_lr0,
+        batch_size=labeler_batch_size, rng=derive_rng("sources-labeler", spec.seed),
     )
     labeler_acc = mdl.accuracy(labeler, holdout_ds)
     k = pca_components if pca_components is not None else default_component_count(spec.flat_dim)

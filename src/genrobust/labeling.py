@@ -4,18 +4,17 @@ deliberately degraded labelers for the labeler-accuracy probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from . import models as mdl
-from .autodiff import Tape, backward
+from .autodiff import backward  # noqa: F401  (perfbench's tracer wraps labeling.backward)
 from .container import decode_metadata, load_container, metadata_entries, save_container
-from .data import LabeledDataset, derive_rng
+from .data import LabeledDataset, PseudoLabeledSet, derive_rng
 from .models import Classifier, ModelConfig
-from .optim import NesterovSGD, cosine_lr
+from .training import EarlyStopConfig, TrainConfig, train
 
 __all__ = [
     "PseudoLabeledSet",
@@ -28,66 +27,29 @@ __all__ = [
 ]
 
 
-@dataclass
-class PseudoLabeledSet:
-    """Generated images with labeler-assigned labels and confidence scores."""
-
-    images: np.ndarray  # [N, C, H, W]
-    pseudo_labels: np.ndarray  # [N]
-    scores: np.ndarray  # [N] max softmax probability (or max logit, see flag)
-    labeler_id: str = ""
-
-    def __len__(self) -> int:
-        return self.images.shape[0]
-
-    def subset(self, idx) -> "PseudoLabeledSet":
-        return PseudoLabeledSet(
-            self.images[idx], self.pseudo_labels[idx], self.scores[idx], self.labeler_id
-        )
-
-
 def train_nonrobust(
     data: LabeledDataset,
     config: ModelConfig,
     epochs: int,
     lr0: float = 0.1,
     batch_size: int = 64,
-    momentum: float = 0.9,
-    weight_decay: float = 5e-4,
-    ema_tau: float = 0.995,
     rng: Optional[np.random.Generator] = None,
 ) -> Classifier:
-    """Plain cross-entropy training: Nesterov SGD, cosine schedule, EMA.
-
-    Returns the model with its EMA weights folded into ``params`` (the EMA
-    model is the one evaluated and used for labeling).
+    """Plain cross-entropy training: ``training.train`` at alpha 1, beta 0,
+    no validation split, one batch per epoch when ``data`` is smaller than
+    ``batch_size``; ``rng`` orders the batches. Returns the EMA model (the
+    one evaluated and used for labeling).
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
     if rng is None:
         rng = derive_rng("train-nonrobust", config.seed)
+    cfg = TrainConfig(
+        alpha=1.0, beta=0.0, epochs=epochs, batch_size=min(batch_size, len(data)), lr0=lr0,
+        early_stop=EarlyStopConfig(validation_size=0),
+    )
     model = mdl.init(config, rng=derive_rng("nonrobust-init", config.seed))
-    if epochs == 0:
-        return model
-    optimizer = NesterovSGD(model.params, momentum=momentum, weight_decay=weight_decay)
-    n = len(data)
-    steps_per_epoch = max(1, n // batch_size)
-    total = epochs * steps_per_epoch
-    step = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for s in range(steps_per_epoch):
-            idx = order[s * batch_size : (s + 1) * batch_size]
-            if idx.size == 0:
-                continue
-            tape = Tape(wrt=[t for _, t in model.params.items()])
-            logits = mdl.forward_logits(model, data.images[idx], tape=tape)
-            loss = ad.softmax_cross_entropy(logits, data.labels[idx], tape)
-            grads = backward(loss, tape).for_params(model.params)
-            optimizer.step(grads, cosine_lr(step, total, lr0))
-            mdl.ema_update(model, ema_tau)
-            step += 1
-    return mdl.ema_snapshot(model)
+    return train(cfg, data, None, model, shuffle_rng=rng)[0]
 
 
 def pseudo_label(

@@ -21,8 +21,7 @@ from . import autodiff as ad
 from . import models as mdl
 from .attacks import AttackConfig, CascadeConfig, PerturbationSet, attack_cascade, pgd
 from .autodiff import NumericError, Tape, Tensor, backward
-from .data import LabeledDataset, derive_rng
-from .labeling import PseudoLabeledSet
+from .data import LabeledDataset, PseudoLabeledSet, derive_rng
 from .models import Classifier
 from .optim import NesterovSGD, cosine_lr
 
@@ -90,8 +89,12 @@ class TrainConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.lr0 > 0:
+            raise ValueError("lr0 must be > 0")
         if self.loss not in ("trades", "standard-at"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if not 0.0 <= self.ema_tau <= 1.0:
@@ -228,6 +231,7 @@ def train(
     orig: LabeledDataset,
     gen: Optional[PseudoLabeledSet],
     model: Classifier,
+    shuffle_rng: Optional[np.random.Generator] = None,
 ) -> tuple[Classifier, TrainReport]:
     """Run the mixed-batch robust loop; returns (EMA model at the best
     validation step, per-evaluation report). The input model is not mutated.
@@ -235,8 +239,9 @@ def train(
     The original dataset's last ``early_stop.validation_size`` examples are
     held out for validation and never trained on: stage 1 of the evaluation
     cascade, one restart of sign-gradient PGD, on the EMA weights.
+    ``shuffle_rng`` orders the originals (default: derived from the seed).
     """
-    _, n_gen = mixed_counts(config.alpha, config.batch_size)
+    n_orig, n_gen = mixed_counts(config.alpha, config.batch_size)
     if n_gen > 0 and (gen is None or len(gen) == 0):
         raise ValueError("alpha < 1 requires a generated pool")
     work = Classifier(config=model.config, params=model.params.copy(), ema_params=model.ema_params.copy())
@@ -246,12 +251,18 @@ def train(
         return mdl.ema_snapshot(work), report
 
     val_n = min(config.early_stop.validation_size, max(len(orig) - 1, 0))
+    if len(orig) - val_n < n_orig:
+        raise ValueError(
+            f"early_stop.validation_size={config.early_stop.validation_size} holds out {val_n} "
+            f"of {len(orig)} originals, leaving {len(orig) - val_n}; each batch needs {n_orig}"
+        )
     train_split = orig.subset(np.arange(len(orig) - val_n))
     val_split = orig.subset(np.arange(len(orig) - val_n, len(orig)))
 
     steps_per_epoch = max(1, len(train_split) // config.batch_size)
     total_steps = config.epochs * steps_per_epoch
-    shuffle_rng = derive_rng("train-shuffle", config.seed)
+    if shuffle_rng is None:
+        shuffle_rng = derive_rng("train-shuffle", config.seed)
     gen_rng = derive_rng("train-gen", config.seed)
     optimizer = NesterovSGD(work.params, momentum=config.momentum, weight_decay=config.weight_decay)
 

@@ -127,6 +127,28 @@ def test_cli_train_rejects_a_bad_eval_every_before_any_compute(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("epochs", -3), ("batch_size", 0), ("lr0", 0.0), ("hidden", [16, 0])]
+)
+def test_bad_labeler_values_rejected(key, value):
+    raw = minimal_raw()
+    raw["labeler"][key] = value
+    with pytest.raises(ConfigError, match=f"^labeler: {key}"):
+        parse_config(raw)
+
+
+def test_cli_train_nonrobust_rejects_a_bad_labeler_batch_size(tmp_path, capsys):
+    out = tmp_path / "run9"
+    raw = minimal_raw(output_dir=str(out))
+    path = write_config(tmp_path, raw)
+    assert cli(["make-data", "--config", path]) == 0
+    raw["labeler"]["batch_size"] = 0
+    path = write_config(tmp_path, raw, name="bad.json")
+    assert cli(["train-nonrobust", "--config", path]) == 1
+    assert "batch_size" in capsys.readouterr().err
+    assert not (out / "labeler.grtc").exists()
+
+
 def test_model_shape_mismatch_rejected():
     raw = minimal_raw()
     raw["model"]["input_shape"] = [1, 8, 8]
@@ -280,6 +302,22 @@ def test_cli_sweep_resumes(tmp_path, capsys):
     assert first == second
     assert os.path.exists(os.path.join(out, "sweep-mixing", "cells.csv"))
     assert os.path.exists(os.path.join(out, "sweep-mixing", "summary.csv"))
+
+
+def test_cli_sweep_trains_the_labeler_with_its_lr0_and_batch_size(tmp_path, monkeypatch):
+    from genrobust import experiments
+
+    seen = {}
+
+    def spy(data, config, epochs, lr0=0.1, batch_size=64, rng=None):
+        seen.update(epochs=epochs, lr0=lr0, batch_size=batch_size)
+        raise RuntimeError("stop after the labeler call")
+
+    monkeypatch.setattr(experiments, "train_nonrobust", spy)
+    raw = minimal_raw(output_dir=str(tmp_path / "run10"))
+    raw["labeler"].update(lr0=0.02, batch_size=8)
+    assert cli(["sweep", "--config", write_config(tmp_path, raw)]) == 2
+    assert seen == dict(epochs=20, lr0=0.02, batch_size=8)
 
 
 def test_cli_sweep_exits_2_when_a_cell_fails(tmp_path, monkeypatch, capsys):

@@ -60,6 +60,79 @@ def test_empty_dataset_rejected():
         train_nonrobust(empty, CFG, epochs=1)
 
 
+def test_negative_epochs_rejected():
+    with pytest.raises(ValueError, match="epochs"):
+        train_nonrobust(blob_dataset(20), CFG, epochs=-1)
+
+
+def reference_train_nonrobust(data, config, epochs, lr0=0.1, batch_size=64, rng=None):
+    """The labeler's former stand-alone loop, written out as an oracle."""
+    from genrobust import autodiff as ad
+    from genrobust.autodiff import Tape, backward
+    from genrobust.optim import NesterovSGD, cosine_lr
+
+    if rng is None:
+        rng = derive_rng("train-nonrobust", config.seed)
+    model = mdl.init(config, rng=derive_rng("nonrobust-init", config.seed))
+    if epochs == 0:
+        return model
+    optimizer = NesterovSGD(model.params, momentum=0.9, weight_decay=5e-4)
+    n = len(data)
+    steps_per_epoch = max(1, n // batch_size)
+    total = epochs * steps_per_epoch
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for s in range(steps_per_epoch):
+            idx = order[s * batch_size : (s + 1) * batch_size]
+            tape = Tape(wrt=[t for _, t in model.params.items()])
+            logits = mdl.forward_logits(model, data.images[idx], tape=tape)
+            loss = ad.softmax_cross_entropy(logits, data.labels[idx], tape)
+            grads = backward(loss, tape).for_params(model.params)
+            optimizer.step(grads, cosine_lr(step, total, lr0))
+            mdl.ema_update(model, 0.995)
+            step += 1
+    return mdl.ema_snapshot(model)
+
+
+CNN_CFG = ModelConfig(
+    kind="small-cnn", input_shape=(1, 4, 4), num_classes=4, channels=(2, 3), seed=2
+)
+SINGLE_CFG = ModelConfig(
+    kind="mlp", input_shape=(1, 2, 4), num_classes=2, hidden=(16,), seed=3, precision="single"
+)
+
+
+@pytest.mark.parametrize(
+    "case, n, kwargs",
+    [
+        ("mlp", 80, dict(epochs=3, batch_size=16)),
+        ("cnn", 48, dict(epochs=2, batch_size=16)),
+        ("float32", 80, dict(epochs=2, batch_size=16, lr0=0.05)),
+        ("n<batch", 20, dict(epochs=3)),
+        ("n==batch", 32, dict(epochs=3, batch_size=32)),
+        ("epochs0", 40, dict(epochs=0)),
+        ("rng", 50, dict(epochs=2, batch_size=16, rng="explicit")),
+    ],
+)
+def test_train_nonrobust_matches_the_reference_loop(case, n, kwargs):
+    if case == "cnn":
+        ds, cfg = four_class_dataset(n), CNN_CFG
+    else:
+        ds, cfg = blob_dataset(n), SINGLE_CFG if case == "float32" else CFG
+    runs = []
+    for fn in (train_nonrobust, reference_train_nonrobust):
+        kw = dict(kwargs)
+        if kw.get("rng") == "explicit":
+            kw["rng"] = derive_rng("oracle-order", 11)
+        runs.append(fn(ds, cfg, **kw))
+    got, want = runs
+    for store, ref in ((got.params, want.params), (got.ema_params, want.ema_params)):
+        for name, t in ref.items():
+            assert store[name].dtype == t.dtype, name
+            assert np.array_equal(store[name].data, t.data), name
+
+
 # ---------------------------------------------------------------------------
 # pseudo_label
 

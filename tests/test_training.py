@@ -303,6 +303,30 @@ def test_alpha_below_one_requires_gen():
         train(quick_config(alpha=0.5), ds, None, init(MCFG))
 
 
+@pytest.mark.parametrize("key, value", [("epochs", -1), ("lr0", 0.0), ("lr0", -0.1)])
+def test_bad_train_values_rejected(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        TrainConfig(**{key: value})
+
+
+def test_validation_split_too_small_for_a_batch_is_named(monkeypatch):
+    from genrobust import training
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("trained before rejecting the split")
+
+    monkeypatch.setattr(training, "trades_loss", no_compute)
+    ds = blob_dataset(60, seed=11)
+    cfg = TrainConfig(batch_size=16, epochs=1)  # default validation_size 256
+    with pytest.raises(ValueError) as err:
+        train(cfg, ds, None, init(MCFG))
+    message = str(err.value)
+    assert "early_stop.validation_size=256" in message
+    assert "holds out 59 of 60" in message
+    assert "leaving 1;" in message
+    assert "each batch needs 16" in message
+
+
 def test_separable_toy_reaches_high_robust_accuracy():
     """5-seed median of final validation robust accuracy on an easy task."""
     finals = []
