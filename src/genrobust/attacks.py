@@ -9,6 +9,7 @@ constraint and keeps the adversarial input inside [0,1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as mdl
-from .autodiff import NumericError, Tape, Tensor, backward
+from .autodiff import NumericError, Tensor
+from .autodiff import backward  # noqa: F401  (perfbench's tracer wraps attacks.backward)
 from .data import LabeledDataset, derive_rng
 
 __all__ = [
@@ -52,8 +54,8 @@ class PerturbationSet:
     def __post_init__(self):
         if self.norm not in (LINF, L2):
             raise ValueError(f"norm must be {LINF!r} or {L2!r}, got {self.norm!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,8 @@ class AttackConfig:
             raise ValueError("steps must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
         if self.inner_optimizer not in _OPTIMIZERS:
             raise ValueError(f"unknown inner optimizer {self.inner_optimizer!r}")
         if self.objective not in _OBJECTIVES:
@@ -142,28 +144,58 @@ def margin_loss(logits, labels: np.ndarray) -> np.ndarray:
 # objectives (maximized by the attack)
 
 
-def _objective_rows(
+def _objective_values(
     objective: str,
     logits: Tensor,
-    tape: Optional[Tape],
-    labels: Optional[np.ndarray] = None,
-    targets: Optional[np.ndarray] = None,
-    clean: Optional[Tensor] = None,
-) -> Tensor:
-    """Per-example value [B] of one attack objective, taped when a tape is given."""
+    labels: np.ndarray,
+    targets: Optional[np.ndarray],
+    clean: Optional[Tensor],
+) -> np.ndarray:
+    """Per-example value [B] of one attack objective."""
     if objective == "cross-entropy":
-        return ad.softmax_cross_entropy_rows(logits, labels, tape)
+        return ad.softmax_cross_entropy_rows(logits, labels).data
     if objective == "kl-vs-clean":
-        return ad.kl_divergence_rows(clean, logits, tape)
+        return ad.kl_divergence_rows(clean, logits).data
     if objective == "margin":  # max_{i != y} z_i - z_y, the negated margin
-        high = ad.max_excluding(logits, labels, tape)
+        high = ad.max_excluding(logits, labels)
     else:  # targeted-margin: z_target - z_y
-        high = ad.gather_labels(logits, targets, tape)
-    return ad.sub(high, ad.gather_labels(logits, labels, tape), tape)
+        high = ad.gather_labels(logits, targets)
+    return ad.sub(high, ad.gather_labels(logits, labels)).data
 
 
 # the ascent follows the batch mean of these objectives, the sum of the others
 _MEAN_OBJECTIVES = ("cross-entropy", "kl-vs-clean")
+
+
+def _logit_gradient(
+    objective: str,
+    labels: np.ndarray,
+    targets: Optional[np.ndarray],
+    p_clean: Optional[np.ndarray],
+    n_classes: int,
+    dtype,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Gradient toward the logits of the ascended scalar, the batch mean or
+    sum of the objective, as a function of the logits.
+
+    It runs the expressions of the taped objective's backward pass. What
+    does not depend on the logits is built here, once per attack: the
+    spread of the unit seed gradient over the rows, the label and target
+    one-hots, and the clean probabilities ``p_clean`` of kl-vs-clean.
+    """
+    b = len(labels)
+    fill = ad.spread(np.ones((), dtype=dtype), (b,), dtype, b if objective in _MEAN_OBJECTIVES else 1)
+    if objective == "cross-entropy":
+        onehot = ad.scatter_rows(np.ones(b, dtype=dtype), labels, n_classes)
+        return lambda z: ad.cross_entropy_grad(ad.log_softmax(z), onehot, fill)
+    if objective == "kl-vs-clean":
+        return lambda z: ad.kl_q_grad(p_clean, ad.log_softmax(z), fill)
+    # high - z_label, whose difference passes (fill, -fill) to its two terms
+    toward_label = ad.scatter_rows(-fill, labels, n_classes)
+    if objective == "margin":
+        return lambda z: toward_label + ad.scatter_rows(fill, ad.argmax_excluding(z, labels), n_classes)
+    toward_targets = toward_label + ad.scatter_rows(fill, targets, n_classes)
+    return lambda z: toward_targets
 
 
 # ---------------------------------------------------------------------------
@@ -181,30 +213,32 @@ def _adam_ascend(delta, grad, state, lr):
 
 
 def pgd_on_objective(
-    forward: Callable[[Tensor, Optional[Tape]], Tensor],
-    objective: Callable[[Tensor, Optional[Tape]], Tensor],
+    gradient: Callable[[np.ndarray], np.ndarray],
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
     pset: PerturbationSet,
     cfg: AttackConfig,
-    mean: bool = False,
     labels: Optional[np.ndarray] = None,
     example_ids: Optional[np.ndarray] = None,
     dtype=np.float64,
 ) -> AttackResult:
-    """Multi-restart projected gradient ascent on objective(forward(x + delta)).
+    """Multi-restart projected gradient ascent of an objective of x + delta.
 
-    forward maps the attacked input (a ``dtype`` tensor) to logits [B,C];
-    objective maps logits to per-example values [B]. Each step ascends
-    their batch sum, or their mean when ``mean`` is set. One untaped
-    forward at the end of each restart gives the values and, when labels
-    are given, success (argmax != label); the per-example keeper prefers
-    successful restarts first, then higher values.
+    ``gradient`` maps the attacked input (a ``dtype`` array shaped like x)
+    to the gradient of the ascended scalar, the objective's batch sum or
+    mean; each step checks it finite once. ``evaluate`` maps the attacked
+    input to (logits [B,C], per-example objective values [B]). One
+    evaluation at the end of each restart gives the values and, when
+    labels are given, success (argmax != label); the per-example keeper
+    prefers successful restarts first, then higher values.
 
     Restart r of example i draws its random start from an rng keyed by
     (cfg.seed, r, example_ids[i]); restart results are therefore shared
     prefixes between runs that differ only in the restart budget.
     """
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("attack input must be finite")
     if x.size and (x.min() < -1e-12 or x.max() > 1.0 + 1e-12):
         raise ValueError("attack input must lie in [0,1]")
     b = x.shape[0]
@@ -230,12 +264,8 @@ def pgd_on_objective(
 
         state = (np.zeros_like(x), np.zeros_like(x), 0)  # Adam state, per restart
         for _ in range(cfg.steps):
-            x_t = Tensor((x + delta).astype(dtype, copy=False))
-            tape = Tape(wrt=(x_t,))
-            rows = objective(forward(x_t, tape), tape)
-            obj = ad.tmean(rows, tape) if mean else ad.tsum(rows, tape)
-            grad = backward(obj, tape).wrt(x_t)
-            if not np.all(np.isfinite(grad)):
+            grad = gradient((x + delta).astype(dtype, copy=False))
+            if not np.isfinite(grad).all():
                 raise NumericError("NaN/Inf gradient inside PGD")
             if cfg.inner_optimizer == "sign-sgd":
                 delta = delta + cfg.step_size * np.sign(grad)
@@ -245,9 +275,7 @@ def pgd_on_objective(
             delta = np.clip(x + delta, 0.0, 1.0) - x
 
         # x + delta equals the clipped x_adv, so these logits stand for it
-        z = forward(Tensor((x + delta).astype(dtype, copy=False)), None)
-        vals = objective(z, None).data
-        logits = z.data
+        logits, vals = evaluate((x + delta).astype(dtype, copy=False))
         if labels is not None:
             succ = np.argmax(logits, axis=1) != labels
         else:
@@ -282,38 +310,37 @@ def pgd(
     y_or_reference holds integer labels [B], or for kl-vs-clean the clean
     logits [B,C].
     """
-    clean = None
+    n, n_classes, dtype = len(x), model.config.num_classes, model.config.dtype
+    clean = p_clean = None
     if cfg.objective == "kl-vs-clean":
         ref = np.asarray(y_or_reference)
-        if ref.ndim != 2:
-            raise ValueError("kl-vs-clean needs clean logits [B,C] as reference")
+        if ref.shape != (n, n_classes):
+            raise ValueError(f"kl-vs-clean needs clean logits [{n},{n_classes}] as reference")
         labels = np.argmax(ref, axis=1)
-        clean = Tensor(np.asarray(ref, dtype=model.config.dtype))
+        clean = Tensor(np.asarray(ref, dtype=dtype))
+        p_clean = np.exp(ad.log_softmax(clean.data))
     else:
         labels = np.asarray(y_or_reference)
         if labels.ndim != 1:
             raise ValueError(f"objective {cfg.objective!r} needs integer labels [B]")
-        if cfg.objective == "targeted-margin" and targets is None:
-            if cfg.target is None:
-                raise ValueError("targeted-margin needs target classes")
-            targets = np.full(labels.shape, cfg.target, dtype=np.int64)
+        if cfg.objective == "targeted-margin":
+            if targets is None:
+                if cfg.target is None:
+                    raise ValueError("targeted-margin needs target classes")
+                targets = np.full(labels.shape, cfg.target, dtype=np.int64)
+            targets = ad.check_labels(targets, n, n_classes)
+    labels = ad.check_labels(labels, n, n_classes)
+    logit_grad = _logit_gradient(cfg.objective, labels, targets, p_clean, n_classes, dtype)
 
-    def forward(x_t, tape):
-        return mdl.forward_logits(model, x_t, use_ema=use_ema, tape=tape)
+    def gradient(x_adv):
+        return mdl.input_gradient(model, x_adv, logit_grad, use_ema=use_ema)
 
-    def objective(logits, tape):
-        return _objective_rows(cfg.objective, logits, tape, labels, targets, clean)
+    def evaluate(x_adv):
+        z = mdl.forward_logits(model, x_adv, use_ema=use_ema)
+        return z.data, _objective_values(cfg.objective, z, labels, targets, clean)
 
     return pgd_on_objective(
-        forward,
-        objective,
-        x,
-        pset,
-        cfg,
-        mean=cfg.objective in _MEAN_OBJECTIVES,
-        labels=labels,
-        example_ids=example_ids,
-        dtype=model.config.dtype,
+        gradient, evaluate, x, pset, cfg, labels=labels, example_ids=example_ids, dtype=dtype,
     )
 
 
@@ -377,8 +404,8 @@ class CascadeConfig:
             raise ValueError("top_k must be >= 0 (0 runs stage 1 only)")
         if self.inner_optimizer not in _OPTIMIZERS:
             raise ValueError(f"unknown inner optimizer {self.inner_optimizer!r}")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step_size must be None or positive")
+        if self.step_size is not None and not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be None or finite and positive, got {self.step_size}")
 
     def resolved_step(self, pset: PerturbationSet, steps: int) -> float:
         if self.step_size is not None:

@@ -11,6 +11,17 @@ Design notes
 * Every public operation validates that its result is finite; a NaN or Inf
   raises :class:`NumericError` instead of propagating silently (min-max
   loops otherwise diverge without a trace).
+* The formulas the primitives share with tape-free callers live in
+  plain-array helpers: the SiLU value and slope (:func:`silu_arrays`), the
+  convolution forward and input scatter (:func:`conv2d_arrays`,
+  :func:`conv2d_input_grad`), the label scatter and the margin's argmax
+  (:func:`scatter_rows`, :func:`argmax_excluding`), the
+  loss gradients toward logits (:func:`cross_entropy_grad`,
+  :func:`kl_q_grad`) and the spread of a scalar gradient (:func:`spread`).
+  Each primitive's forward and backward calls them, so a tape-free
+  gradient built from them (``models.input_gradient`` and the attack
+  steps) runs the same numpy expressions as the tape, bit for bit. Such a
+  caller checks finiteness itself, once per pass rather than per op.
 * A :class:`Tape` records primitives in construction order, which is a
   topological order of the computation graph; :func:`backward` replays it
   once in reverse. A tape is owned by a single logical thread and must be
@@ -33,6 +44,8 @@ import numpy as np
 __all__ = [
     "NumericError",
     "ShapeError",
+    "check_finite",
+    "check_labels",
     "Tensor",
     "Tape",
     "ParamStore",
@@ -57,6 +70,14 @@ __all__ = [
     "kl_divergence",
     "gather_labels",
     "max_excluding",
+    "silu_arrays",
+    "spread",
+    "conv2d_arrays",
+    "conv2d_input_grad",
+    "scatter_rows",
+    "argmax_excluding",
+    "cross_entropy_grad",
+    "kl_q_grad",
 ]
 
 SINGLE = np.float32
@@ -72,7 +93,7 @@ class ShapeError(ValueError):
     """Operand shapes (or dtypes) are incompatible."""
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
+def check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in result of {what}")
 
@@ -91,7 +112,7 @@ class Tensor:
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DOUBLE)
         arr = np.ascontiguousarray(arr)
-        _check_finite(arr, "Tensor construction")
+        check_finite(arr, "Tensor construction")
         self.data = arr
 
     @property
@@ -309,7 +330,7 @@ def _as_pair(a: TensorLike, b: TensorLike) -> tuple[Tensor, Tensor]:
 def _result(out_data: np.ndarray, what: str) -> Tensor:
     t = Tensor.__new__(Tensor)
     arr = np.ascontiguousarray(out_data)
-    _check_finite(arr, what)
+    check_finite(arr, what)
     t.data = arr
     return t
 
@@ -352,19 +373,23 @@ def neg(a: Tensor, tape: Optional[Tape] = None) -> Tensor:
     return out
 
 
-def silu(x: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    """Elementwise x * sigmoid(x) (Swish/SiLU)."""
+def silu_arrays(z: np.ndarray, slope: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """SiLU value z * sigmoid(z) and, when ``slope``, its derivative (plain arrays)."""
     # stable sigmoid in one pass: e = exp(-|z|) never overflows, and it
     # equals exp(-z) where z >= 0 and exp(z) elsewhere, so sig is
     # 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) on the two sides
-    z = x.data
     e = np.exp(-np.abs(z))
     sig = np.where(z >= 0, 1.0, e)
     sig /= 1.0 + e
-    out = _result(z * sig, "silu")
+    # d/dz [z*s(z)] = s(z) * (1 + z * (1 - s(z)))
+    return z * sig, (sig * (1.0 + z * (1.0 - sig)) if slope else None)
+
+
+def silu(x: Tensor, tape: Optional[Tape] = None) -> Tensor:
+    """Elementwise x * sigmoid(x) (Swish/SiLU)."""
+    out_data, local = silu_arrays(x.data, slope=tape is not None)
+    out = _result(out_data, "silu")
     if tape is not None:
-        # d/dx [x*s(x)] = s(x) * (1 + x * (1 - s(x)))
-        local = sig * (1.0 + z * (1.0 - sig))
         tape.record((x,), out, lambda g: (g * local,))
     return out
 
@@ -378,12 +403,18 @@ def reshape(x: Tensor, shape: Sequence[int], tape: Optional[Tape] = None) -> Ten
     return out
 
 
+def spread(g: np.ndarray, shape: tuple, dtype, n: int = 1) -> np.ndarray:
+    """Gradient of a sum (n = 1) or a mean over n elements toward its input,
+    given the scalar gradient ``g`` of the result (plain arrays)."""
+    return np.full(shape, g / n, dtype=dtype)
+
+
 def tsum(x: Tensor, tape: Optional[Tape] = None) -> Tensor:
     """Sum of all elements (scalar tensor)."""
     out = _result(np.asarray(x.data.sum(), dtype=x.dtype), "tsum")
     if tape is not None:
         shape, dtype = x.shape, x.dtype
-        tape.record((x,), out, lambda g: (np.full(shape, g, dtype=dtype),))
+        tape.record((x,), out, lambda g: (spread(g, shape, dtype),))
     return out
 
 
@@ -392,7 +423,7 @@ def tmean(x: Tensor, tape: Optional[Tape] = None) -> Tensor:
     out = _result(np.asarray(x.data.mean(), dtype=x.dtype), "tmean")
     if tape is not None:
         shape, dtype, n = x.shape, x.dtype, x.size
-        tape.record((x,), out, lambda g: (np.full(shape, g / n, dtype=dtype),))
+        tape.record((x,), out, lambda g: (spread(g, shape, dtype, n),))
     return out
 
 
@@ -445,6 +476,51 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return cols.reshape(b, c * kh * kw, oh * ow)
 
 
+def _conv_geometry(x_shape, w_shape, stride: int, padding: int) -> tuple[int, int, int, int]:
+    """(padded height, padded width, output height, output width)."""
+    hp, wp = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
+    kh, kw = w_shape[2], w_shape[3]
+    return hp, wp, (hp - kh) // stride + 1, (wp - kw) // stride + 1
+
+
+def conv2d_arrays(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Convolution output [B,O,OH,OW] and its im2col columns (plain arrays)."""
+    bs, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    hp, wp, oh, ow = _conv_geometry(x.shape, w.shape, stride, padding)
+    if padding:
+        xp = np.zeros((bs, c, hp, wp), dtype=x.dtype)
+        xp[:, :, padding : padding + h, padding : padding + wd] = x
+    else:
+        xp = x
+    cols = _im2col(xp, kh, kw, stride, oh, ow)  # [B, C*kh*kw, OH*OW]
+    out2 = np.einsum("ok,bkn->bon", w.reshape(o, c * kh * kw), cols, optimize=True)
+    out2 += b[None, :, None]
+    return out2.reshape(bs, o, oh, ow), cols
+
+
+def conv2d_input_grad(
+    g: np.ndarray, w: np.ndarray, x_shape: tuple, stride: int, padding: int
+) -> np.ndarray:
+    """Gradient toward the convolution input, given g toward its output
+    (plain arrays): the weights' transpose, then a scatter of the columns."""
+    bs, c, h, wd = x_shape
+    o, _, kh, kw = w.shape
+    hp, wp, oh, ow = _conv_geometry(x_shape, w.shape, stride, padding)
+    g2 = g.reshape(bs, o, oh * ow)
+    gcols = np.einsum("ok,bon->bkn", w.reshape(o, c * kh * kw), g2, optimize=True)
+    gcols = gcols.reshape(bs, c, kh, kw, oh, ow)
+    gxp = np.zeros((bs, c, hp, wp), dtype=g.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += gcols[:, :, u, v]
+    if padding:
+        return gxp[:, :, padding : padding + h, padding : padding + wd]
+    return gxp
+
+
 def conv2d(
     x: Tensor,
     w: Tensor,
@@ -459,51 +535,30 @@ def conv2d(
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError("conv2d needs x[B,C,H,W], w[O,C,kh,kw], b[O]")
-    bs, c, h, wd = x.shape
+    c = x.shape[1]
     o, cw, kh, kw = w.shape
     if cw != c or b.shape[0] != o:
         raise ShapeError(f"conv2d channel mismatch: x{x.shape} w{w.shape} b{b.shape}")
     if x.dtype != w.dtype or x.dtype != b.dtype:
         raise ShapeError("conv2d dtype mismatch")
-    hp, wp = h + 2 * padding, wd + 2 * padding
+    hp, wp, _, _ = _conv_geometry(x.shape, w.shape, stride, padding)
     if kh > hp or kw > wp:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
 
-    if padding:
-        xp = np.zeros((bs, c, hp, wp), dtype=x.dtype)
-        xp[:, :, padding : padding + h, padding : padding + wd] = x.data
-    else:
-        xp = x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)  # [B, C*kh*kw, OH*OW]
-    w2 = w.data.reshape(o, c * kh * kw)
-    out2 = np.einsum("ok,bkn->bon", w2, cols, optimize=True)
-    out2 += b.data[None, :, None]
-    out = _result(out2.reshape(bs, o, oh, ow), "conv2d")
+    out_data, cols = conv2d_arrays(x.data, w.data, b.data, stride, padding)
+    out = _result(out_data, "conv2d")
 
     if tape is not None:
         want_x, want_w, want_b = tape.wants(x), tape.wants(w), tape.wants(b)
 
         def bwd(g: np.ndarray):
-            g2 = g.reshape(bs, o, oh * ow)
+            g2 = g.reshape(g.shape[0], o, -1)
             grad_b = g2.sum(axis=(0, 2)) if want_b else None
             grad_w = None
             if want_w:
                 grad_w = np.einsum("bon,bkn->ok", g2, cols, optimize=True).reshape(w.shape)
-            if not want_x:
-                return None, grad_w, grad_b
-            gcols = np.einsum("ok,bon->bkn", w2, g2, optimize=True)
-            gcols = gcols.reshape(bs, c, kh, kw, oh, ow)
-            gxp = np.zeros((bs, c, hp, wp), dtype=g.dtype)
-            for u in range(kh):
-                for v in range(kw):
-                    gxp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += gcols[:, :, u, v]
-            if padding:
-                gx = gxp[:, :, padding : padding + h, padding : padding + wd]
-            else:
-                gx = gxp
-            return gx, grad_w, grad_b
+            grad_x = conv2d_input_grad(g, w.data, x.shape, stride, padding) if want_x else None
+            return grad_x, grad_w, grad_b
 
         tape.record((x, w, b), out, bwd)
     return out
@@ -525,7 +580,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=1, keepdims=True)
 
 
-def _check_labels(labels: np.ndarray, n_rows: int, n_classes: int) -> np.ndarray:
+def check_labels(labels: np.ndarray, n_rows: int, n_classes: int) -> np.ndarray:
+    """Integer class labels [n_rows] in [0, n_classes), as int64."""
     lab = np.asarray(labels)
     if lab.shape != (n_rows,):
         raise ShapeError(f"labels shape {lab.shape} != ({n_rows},)")
@@ -536,6 +592,34 @@ def _check_labels(labels: np.ndarray, n_rows: int, n_classes: int) -> np.ndarray
     return lab.astype(np.int64)
 
 
+def scatter_rows(values: np.ndarray, idx: np.ndarray, n_classes: int) -> np.ndarray:
+    """[B, C] zeros with out[i, idx[i]] = values[i] (plain arrays): the
+    gradient of picking one logit per row, and a one-hot for unit values."""
+    out = np.zeros((len(idx), n_classes), dtype=values.dtype)
+    out[np.arange(len(idx)), idx] = values
+    return out
+
+
+def argmax_excluding(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row index of the largest entry other than the label, lowest index
+    first on ties (plain arrays)."""
+    masked = z.copy()
+    masked[np.arange(len(labels)), labels] = -np.inf
+    return masked.argmax(axis=1)
+
+
+def cross_entropy_grad(logp: np.ndarray, onehot: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i g[i] * CE_i toward the logits, from their log
+    softmax and the one-hot labels (plain arrays)."""
+    return (np.exp(logp) - onehot) * g[:, None]
+
+
+def kl_q_grad(p: np.ndarray, logq: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i g[i] * KL(p_i || q_i) toward the q logits, from the
+    p probabilities and the log softmax of q (plain arrays)."""
+    return (np.exp(logq) - p) * g[:, None]
+
+
 def softmax_cross_entropy_rows(
     logits: Tensor, labels: np.ndarray, tape: Optional[Tape] = None
 ) -> Tensor:
@@ -543,18 +627,12 @@ def softmax_cross_entropy_rows(
     if logits.data.ndim != 2:
         raise ShapeError(f"logits must be [B,C], got {logits.shape}")
     n, c = logits.shape
-    lab = _check_labels(labels, n, c)
+    lab = check_labels(labels, n, c)
     logp = log_softmax(logits.data)
     out = _result(-logp[np.arange(n), lab], "softmax_cross_entropy_rows")
     if tape is not None:
-        p = np.exp(logp)
-
-        def bwd(g: np.ndarray):
-            grad = p.copy()
-            grad[np.arange(n), lab] -= 1.0
-            return (grad * g[:, None],)
-
-        tape.record((logits,), out, bwd)
+        onehot = scatter_rows(np.ones(n, dtype=logp.dtype), lab, c)
+        tape.record((logits,), out, lambda g: (cross_entropy_grad(logp, onehot, g),))
     return out
 
 
@@ -581,14 +659,13 @@ def kl_divergence_rows(p_logits: Tensor, q_logits: Tensor, tape: Optional[Tape] 
     per_row = (p * (logp - logq)).sum(axis=1)
     out = _result(per_row, "kl_divergence_rows")
     if tape is not None:
-        q = np.exp(logq)
+        want_p, want_q = tape.wants(p_logits), tape.wants(q_logits)
 
         def bwd(g: np.ndarray):
-            s = logp - logq
-            g_rows = g[:, None]
-            gp = p * (s - per_row[:, None]) * g_rows
-            gq = (q - p) * g_rows
-            return gp, gq
+            gp = None
+            if want_p:
+                gp = p * ((logp - logq) - per_row[:, None]) * g[:, None]
+            return gp, kl_q_grad(p, logq, g) if want_q else None
 
         tape.record((p_logits, q_logits), out, bwd)
     return out
@@ -604,16 +681,10 @@ def gather_labels(logits: Tensor, labels: np.ndarray, tape: Optional[Tape] = Non
     if logits.data.ndim != 2:
         raise ShapeError(f"logits must be [B,C], got {logits.shape}")
     n, c = logits.shape
-    lab = _check_labels(labels, n, c)
+    lab = check_labels(labels, n, c)
     out = _result(logits.data[np.arange(n), lab], "gather_labels")
     if tape is not None:
-
-        def bwd(g: np.ndarray):
-            grad = np.zeros((n, c), dtype=g.dtype)
-            grad[np.arange(n), lab] = g
-            return (grad,)
-
-        tape.record((logits,), out, bwd)
+        tape.record((logits,), out, lambda g: (scatter_rows(g, lab, c),))
     return out
 
 
@@ -628,17 +699,9 @@ def max_excluding(logits: Tensor, labels: np.ndarray, tape: Optional[Tape] = Non
     n, c = logits.shape
     if c < 2:
         raise ShapeError("max_excluding needs at least 2 classes")
-    lab = _check_labels(labels, n, c)
-    masked = logits.data.copy()
-    masked[np.arange(n), lab] = -np.inf
-    arg = masked.argmax(axis=1)
-    out = _result(masked[np.arange(n), arg], "max_excluding")
+    lab = check_labels(labels, n, c)
+    arg = argmax_excluding(logits.data, lab)
+    out = _result(logits.data[np.arange(n), arg], "max_excluding")
     if tape is not None:
-
-        def bwd(g: np.ndarray):
-            grad = np.zeros((n, c), dtype=g.dtype)
-            grad[np.arange(n), arg] = g
-            return (grad,)
-
-        tape.record((logits,), out, bwd)
+        tape.record((logits,), out, lambda g: (scatter_rows(g, arg, c),))
     return out

@@ -9,7 +9,7 @@ and eval modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import json
 
@@ -26,6 +26,7 @@ __all__ = [
     "init",
     "forward_logits",
     "forward_penultimate",
+    "input_gradient",
     "ema_update",
     "ema_snapshot",
     "accuracy",
@@ -169,12 +170,14 @@ def _forward_cnn(
     return logits, flat
 
 
+def _check_input_shape(shape: tuple, config: ModelConfig) -> None:
+    if len(shape) != 4 or shape[1:] != config.input_shape:
+        raise ad.ShapeError(f"input shape {shape} does not match (B, {config.input_shape})")
+
+
 def _run(params, config, x, tape):
     """Returns (logits, penultimate activations)."""
-    if x.data.ndim != 4 or x.shape[1:] != config.input_shape:
-        raise ad.ShapeError(
-            f"input shape {x.shape} does not match (B, {config.input_shape})"
-        )
+    _check_input_shape(x.shape, config)
     if config.kind == "mlp":
         return _forward_mlp(params, config, x, tape)
     return _forward_cnn(params, config, x, tape)
@@ -188,6 +191,13 @@ def _coerce_input(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _weights(model: Classifier, use_ema: bool) -> ParamStore:
+    params = model.ema_params if use_ema else model.params
+    if params is None:
+        raise ValueError("model has no EMA parameters")
+    return params
+
+
 def forward_logits(
     model: Classifier,
     x,
@@ -195,12 +205,53 @@ def forward_logits(
     tape: Optional[Tape] = None,
 ) -> Tensor:
     """Logits [B, C_out]; taped when a tape is supplied. Pure w.r.t. params."""
-    params = model.ema_params if use_ema else model.params
-    if params is None:
-        raise ValueError("model has no EMA parameters")
     xt = _coerce_input(x, model.config.dtype)
-    logits, _ = _run(params, model.config, xt, tape)
+    logits, _ = _run(_weights(model, use_ema), model.config, xt, tape)
     return logits
+
+
+def input_gradient(
+    model: Classifier,
+    x: np.ndarray,
+    logit_grad: Callable[[np.ndarray], np.ndarray],
+    use_ema: bool = False,
+) -> np.ndarray:
+    """Gradient toward the input x [B,C,H,W] (model dtype) of a loss whose
+    gradient toward the logits is ``logit_grad(logits)``; no tape.
+
+    One forward keeps each layer's SiLU slope, then the chain rule runs
+    back to the input. Every step is the numpy expression the matching
+    primitive's forward or backward runs, in the tape's order, so the
+    result is bit-identical to ``backward`` over a ``Tape(wrt=(x,))`` of
+    ``forward_logits``. The logits are checked finite once, before
+    ``logit_grad`` sees them; the caller checks the returned gradient.
+    """
+    config = model.config
+    _check_input_shape(x.shape, config)
+    p = {name: t.data for name, t in _weights(model, use_ema).items()}
+    if config.kind == "mlp":
+        n_layers = len(config.hidden) + 1
+        h = x.reshape(x.shape[0], config.input_dim)
+        slopes = []
+        for i in range(n_layers):
+            h = h @ p[f"w{i}"] + p[f"b{i}"][None, :]
+            if i < n_layers - 1:
+                h, slope = ad.silu_arrays(h)
+                slopes.append(slope)
+        ad.check_finite(h, "model logits")
+        g = logit_grad(h)
+        for i in reversed(range(n_layers)):
+            g = g @ p[f"w{i}"].T
+            if i:
+                g = g * slopes[i - 1]
+        return g.reshape(x.shape)
+    h0, slope0 = ad.silu_arrays(ad.conv2d_arrays(x, p["conv0.w"], p["conv0.b"], 2, 1)[0])
+    h1, slope1 = ad.silu_arrays(ad.conv2d_arrays(h0, p["conv1.w"], p["conv1.b"], 2, 1)[0])
+    logits = h1.reshape(x.shape[0], _cnn_flat_dim(config)) @ p["fc.w"] + p["fc.b"][None, :]
+    ad.check_finite(logits, "model logits")
+    g = (logit_grad(logits) @ p["fc.w"].T).reshape(h1.shape)
+    g = ad.conv2d_input_grad(g * slope1, p["conv1.w"], h0.shape, 2, 1)
+    return ad.conv2d_input_grad(g * slope0, p["conv0.w"], x.shape, 2, 1)
 
 
 # rows per untaped inference forward; bounds the activations held at once
@@ -217,7 +268,7 @@ def _untaped_rows(fn, images: np.ndarray) -> np.ndarray:
 def forward_penultimate(model: Classifier, x, use_ema: bool = False) -> np.ndarray:
     """Penultimate-layer activations (feature embedder backbone); untaped,
     one forward per 256 rows."""
-    params = model.ema_params if use_ema else model.params
+    params = _weights(model, use_ema)
 
     def block(rows):
         return _run(params, model.config, _coerce_input(rows, model.config.dtype), None)[1].data

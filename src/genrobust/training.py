@@ -12,6 +12,7 @@ the original-dataset size, whatever alpha is.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
@@ -87,8 +88,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -169,8 +170,8 @@ def trades_loss(
     with the inner attack config); the clean logits anchoring the KL term
     are constants for the outer gradient.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     clean_logits = mdl.forward_logits(model, x, tape=tape)
     ce = ad.softmax_cross_entropy(clean_logits, labels, tape)
     if beta == 0.0 or pset.epsilon == 0.0 or inner.steps == 0:

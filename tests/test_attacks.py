@@ -1,8 +1,11 @@
 """Attack tests: projections, PGD behavior, closed-form linear oracles, cascade."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from genrobust import attacks
 from genrobust import autodiff as ad
 from genrobust import models as mdl
 from genrobust.attacks import (
@@ -17,7 +20,7 @@ from genrobust.attacks import (
     project,
 )
 from genrobust.autodiff import Tensor
-from genrobust.data import LabeledDataset
+from genrobust.data import LabeledDataset, derive_rng
 
 
 def linear_model(w: np.ndarray, b: np.ndarray) -> mdl.Classifier:
@@ -115,25 +118,22 @@ def test_margin_label_out_of_range():
 # PGD core behavior
 
 
-def flatten(x_t, tape):
-    """Identity "model": the attacked input itself, flattened to [B, D]."""
-    return ad.reshape(x_t, (x_t.shape[0], x_t.size // x_t.shape[0]), tape)
-
-
 class QuadraticObjective:
-    """f(x_adv) = -sum((x_adv - center)^2) per example, maximized at center."""
+    """f(x_adv) = -sum((x_adv - center)^2) per example, maximized at center;
+    the "logits" are the attacked input itself, flattened to [B, D]."""
 
     def __init__(self, center):
-        self.center = flatten(Tensor(center), None)
+        self.center = np.asarray(center, dtype=np.float64)
 
-    def __call__(self, z, tape):
-        diff = ad.sub(z, self.center, tape)
-        ones = Tensor(np.ones((z.shape[1], 1)))
-        sq = ad.matmul(ad.mul(diff, diff, tape), ones, tape)
-        return ad.neg(ad.reshape(sq, (z.shape[0],), tape), tape)
+    def gradient(self, x_adv):
+        """Gradient of the batch sum of f."""
+        return -2.0 * (x_adv - self.center)
+
+    def evaluate(self, x_adv):
+        return x_adv.reshape(len(x_adv), -1), self.values(x_adv)
 
     def values(self, x_np):
-        return self(flatten(Tensor(x_np), None), None).data
+        return -((x_np - self.center) ** 2).reshape(len(x_np), -1).sum(axis=1)
 
 
 def test_pgd_epsilon_zero_is_identity():
@@ -167,7 +167,8 @@ def test_pgd_converges_to_clamped_optimum_monotonically():
     finals = []
     for steps in range(0, 12):
         cfg = AttackConfig(steps=steps, step_size=0.02, random_start=False)
-        res = pgd_on_objective(flatten, QuadraticObjective(center), x, pset, cfg)
+        quad = QuadraticObjective(center)
+        res = pgd_on_objective(quad.gradient, quad.evaluate, x, pset, cfg)
         val = res.objective_value[0] if steps > 0 else QuadraticObjective(center).values(x)[0]
         assert val >= prev - 1e-12
         prev = val
@@ -379,3 +380,182 @@ def test_cascade_record_fields():
     assert len(res.records) == len(data)
     row = res.records[0]
     assert set(row) == {"example_id", "clean_correct", "stage1_survived", "stage2_survived", "worst_margin"}
+
+
+# ---------------------------------------------------------------------------
+# the tape-free step against the tape
+
+
+def _taped_rows(objective, logits, tape, labels, targets, clean):
+    """The attack objectives as taped primitives, per example."""
+    if objective == "cross-entropy":
+        return ad.softmax_cross_entropy_rows(logits, labels, tape)
+    if objective == "kl-vs-clean":
+        return ad.kl_divergence_rows(clean, logits, tape)
+    if objective == "margin":
+        high = ad.max_excluding(logits, labels, tape)
+    else:
+        high = ad.gather_labels(logits, targets, tape)
+    return ad.sub(high, ad.gather_labels(logits, labels, tape), tape)
+
+
+def _taped_input_grad(model, x_in, objective, labels, targets, clean, use_ema):
+    """backward() of a Tape(wrt=(x,)) over forward_logits and the objective's
+    batch mean (cross-entropy, kl-vs-clean) or sum (the margins)."""
+    x_t = Tensor(x_in)
+    tape = ad.Tape(wrt=(x_t,))
+    rows = _taped_rows(
+        objective, mdl.forward_logits(model, x_t, use_ema=use_ema, tape=tape), tape,
+        labels, targets, clean,
+    )
+    mean = objective in ("cross-entropy", "kl-vs-clean")
+    obj = ad.tmean(rows, tape) if mean else ad.tsum(rows, tape)
+    return ad.backward(obj, tape).wrt(x_t)
+
+
+def _attack_inputs(cfg, seed):
+    model = mdl.init(cfg)
+    for name, t in model.params.items():  # EMA weights that differ from the live ones
+        model.ema_params.assign(name, Tensor(t.data * np.asarray(0.75, dtype=t.dtype)))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(6, *cfg.input_shape))
+    labels = rng.integers(0, cfg.num_classes, size=6)
+    targets = (labels + 1 + rng.integers(0, cfg.num_classes - 1, size=6)) % cfg.num_classes
+    targets[0] = labels[0]  # a target equal to the label: the margin gradient cancels
+    return model, x, labels, targets
+
+
+ORACLE_MODELS = [
+    mdl.ModelConfig(kind="mlp", input_shape=(1, 3, 4), num_classes=4, hidden=(9,), seed=21),
+    mdl.ModelConfig(kind="mlp", input_shape=(2, 3, 3), num_classes=5, hidden=(10, 7), seed=22),
+    mdl.ModelConfig(kind="small-cnn", input_shape=(2, 7, 7), num_classes=4, channels=(3, 5), seed=23),
+]
+ORACLE_IDS = ["mlp-1", "mlp-2", "cnn"]
+OBJECTIVES = ("cross-entropy", "kl-vs-clean", "margin", "targeted-margin")
+
+
+def _bits(a):
+    return a.view(np.int32 if a.dtype == np.float32 else np.int64)
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("base", ORACLE_MODELS, ids=ORACLE_IDS)
+def test_input_gradient_equals_the_taped_gradient_bitwise(base, precision):
+    cfg = replace(base, precision=precision)
+    model, x, labels, targets = _attack_inputs(cfg, seed=31)
+    dtype = cfg.dtype
+    x_in = x.astype(dtype)
+    for use_ema in (False, True):
+        clean_data = mdl.forward_logits(model, x * 0.9, use_ema=use_ema).data
+        clean = Tensor(clean_data)
+        for objective in OBJECTIVES:
+            labs = np.argmax(clean_data, axis=1) if objective == "kl-vs-clean" else labels
+            logit_grad = attacks._logit_gradient(
+                objective, labs, targets, np.exp(ad.log_softmax(clean_data)), cfg.num_classes, dtype
+            )
+            got = mdl.input_gradient(model, x_in, logit_grad, use_ema=use_ema)
+            want = _taped_input_grad(model, x_in, objective, labs, targets, clean, use_ema)
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape == x.shape
+            assert np.array_equal(_bits(got), _bits(want)), (objective, use_ema)
+
+
+def _taped_pgd(model, x, ref, pset, cfg, targets=None):
+    """The PGD loop with one taped backward per step, as it ran before the
+    tape-free step: random starts, projection, clip, keeper and all."""
+    dtype = model.config.dtype
+    clean = None
+    if cfg.objective == "kl-vs-clean":
+        labels = np.argmax(ref, axis=1)
+        clean = Tensor(np.asarray(ref, dtype=dtype))
+    else:
+        labels = np.asarray(ref)
+        if cfg.objective == "targeted-margin" and targets is None:
+            targets = np.full(labels.shape, cfg.target, dtype=np.int64)
+    x = np.asarray(x, dtype=np.float64)
+    b = x.shape[0]
+    best_delta = np.zeros_like(x)
+    best_val = np.full(b, -np.inf)
+    best_success = np.zeros(b, dtype=bool)
+    for restart in range(cfg.restarts):
+        delta = np.stack([
+            attacks.random_start(pset, x.shape[1:], derive_rng(cfg.seed, restart, i)) for i in range(b)
+        ])
+        delta = project(delta, pset)
+        delta = np.clip(x + delta, 0.0, 1.0) - x
+        state = (np.zeros_like(x), np.zeros_like(x), 0)
+        for _ in range(cfg.steps):
+            grad = _taped_input_grad(
+                model, (x + delta).astype(dtype, copy=False), cfg.objective, labels, targets, clean, False
+            )
+            if cfg.inner_optimizer == "sign-sgd":
+                delta = delta + cfg.step_size * np.sign(grad)
+            else:
+                delta, state = attacks._adam_ascend(delta, grad, state, cfg.step_size)
+            delta = project(delta, pset)
+            delta = np.clip(x + delta, 0.0, 1.0) - x
+        z = mdl.forward_logits(model, Tensor((x + delta).astype(dtype, copy=False)))
+        vals = _taped_rows(cfg.objective, z, None, labels, targets, clean).data
+        succ = np.argmax(z.data, axis=1) != labels
+        if restart == 0:
+            best_logits = np.empty_like(z.data)
+        better = (succ & ~best_success) | ((succ == best_success) & (vals > best_val))
+        best_delta[better] = delta[better]
+        best_val[better] = vals[better]
+        best_success[better] = succ[better]
+        best_logits[better] = z.data[better]
+    return best_delta, best_logits, best_val
+
+
+@pytest.mark.parametrize("base", ORACLE_MODELS, ids=ORACLE_IDS)
+def test_pgd_equals_the_taped_pgd_bitwise(base):
+    model, x, labels, targets = _attack_inputs(base, seed=41)
+    clean = mdl.forward_logits(model, x).data
+    for norm in ("linf", "l2"):
+        for opt in ("adam", "sign-sgd"):
+            for objective in OBJECTIVES:
+                cfg = AttackConfig(
+                    steps=3, step_size=0.05, inner_optimizer=opt, restarts=2,
+                    objective=objective, seed=5,
+                )
+                ref = clean if objective == "kl-vs-clean" else labels
+                pset = PerturbationSet(norm, 0.25)
+                res = pgd(model, x, ref, pset, cfg, targets=targets)
+                delta, logits, values = _taped_pgd(model, x, ref, pset, cfg, targets)
+                case = (norm, opt, objective)
+                assert np.array_equal(_bits(res.delta), _bits(delta)), case
+                assert np.array_equal(_bits(res.logits), _bits(logits)), case
+                assert np.array_equal(_bits(res.objective_value), _bits(values)), case
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs and overflow
+
+
+def test_pgd_on_objective_rejects_a_non_finite_input():
+    quad = QuadraticObjective(np.zeros((1, 1, 1, 2)))
+    cfg = AttackConfig(steps=2, step_size=0.1)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.array([[[[0.5, bad]]]])
+        with pytest.raises(ValueError, match="finite"):
+            pgd_on_objective(quad.gradient, quad.evaluate, x, PerturbationSet("linf", 0.1), cfg)
+    m = mdl.init(SMALL)
+    x = np.full((2, 1, 2, 2), 0.5)
+    x[1, 0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        pgd(m, x, np.array([0, 1]), PerturbationSet("linf", 0.1), cfg)
+
+
+def test_pgd_raises_numeric_error_when_the_weights_overflow():
+    x = np.random.default_rng(15).uniform(size=(3, 1, 2, 2))
+    y = np.array([0, 1, 2])
+    for kind, cfg in (("mlp", SMALL), ("small-cnn", ORACLE_MODELS[2])):
+        m = mdl.init(cfg)
+        for name, t in m.params.items():
+            m.params.assign(name, Tensor(np.full(t.shape, 1e200)))
+        xs = x if kind == "mlp" else np.full((3, *cfg.input_shape), 0.5)
+        for objective in OBJECTIVES:
+            acfg = AttackConfig(steps=2, step_size=0.1, objective=objective, target=1)
+            ref = np.zeros((3, cfg.num_classes)) if objective == "kl-vs-clean" else y
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NumericError):
+                pgd(m, xs, ref, PerturbationSet("linf", 0.1), acfg)

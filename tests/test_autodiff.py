@@ -455,30 +455,40 @@ def test_silu_bitwise_equal_to_masked_formula(dtype):
     assert np.array_equal(local.view(bits), want_local.view(bits))
 
 
-def _model_loss(model, x_t, tape):
-    labels = np.arange(x_t.shape[0]) % model.config.num_classes
+def _model_loss(model, x_t, tape, loss="ce", anchor=None):
     logits = models.forward_logits(model, x_t, tape=tape)
+    if loss == "kl":  # TRADES' outer KL term: a constant anchor against the logits
+        return ad.kl_divergence(anchor, logits, tape)
+    labels = np.arange(x_t.shape[0]) % model.config.num_classes
     return ad.softmax_cross_entropy(logits, labels, tape)
 
 
 @pytest.mark.parametrize("cfg", [MLP, CNN], ids=["mlp", "cnn"])
 def test_masked_tape_gradients_equal_unmasked(cfg):
     model = models.init(cfg)
-    x = np.random.default_rng(5).uniform(size=(6, *cfg.input_shape))
+    rng = np.random.default_rng(5)
+    x = rng.uniform(size=(6, *cfg.input_shape))
     x_t = Tensor(x)
-    full = Tape()
-    full_grads = backward(_model_loss(model, x_t, full), full)
+    anchor = Tensor(rng.normal(size=(6, cfg.num_classes)))
+    for loss in ("ce", "kl"):
+        full = Tape()
+        full_grads = backward(_model_loss(model, x_t, full, loss, anchor), full)
 
-    input_tape = Tape(wrt=(x_t,))
-    input_grad = backward(_model_loss(model, x_t, input_tape), input_tape).wrt(x_t)
-    assert np.array_equal(input_grad, full_grads.wrt(x_t))
+        input_tape = Tape(wrt=(x_t,))
+        input_grads = backward(_model_loss(model, x_t, input_tape, loss, anchor), input_tape)
+        assert np.array_equal(input_grads.wrt(x_t), full_grads.wrt(x_t)), loss
 
-    param_tape = Tape(wrt=[t for _, t in model.params.items()])
-    param_grads = backward(_model_loss(model, x_t, param_tape), param_tape)
-    for name, g in param_grads.for_params(model.params).items():
-        assert np.array_equal(g, full_grads.wrt(model.params[name])), name
-    if cfg.kind == "mlp":
-        assert len(param_tape) == len(full) - 1  # the input reshape is dropped
+        param_tape = Tape(wrt=[t for _, t in model.params.items()])
+        param_grads = backward(_model_loss(model, x_t, param_tape, loss, anchor), param_tape)
+        for name, g in param_grads.for_params(model.params).items():
+            assert np.array_equal(g, full_grads.wrt(model.params[name])), (loss, name)
+        if cfg.kind == "mlp":
+            assert len(param_tape) == len(full) - 1  # the input reshape is dropped
+        if loss == "kl":
+            # only the unrestricted tape computes a gradient toward the anchor
+            assert np.any(full_grads.wrt(anchor) != 0)
+            for grads in (input_grads, param_grads):
+                assert id(anchor) not in grads._by_id
 
 
 def test_masked_tape_records_no_node_without_live_input():

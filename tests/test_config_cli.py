@@ -127,6 +127,44 @@ def test_cli_train_rejects_a_bad_eval_every_before_any_compute(tmp_path, capsys)
     assert not out.exists()
 
 
+def _with_attack_value(where, value, **over):
+    raw = minimal_raw(**over)
+    if where == "train.perturbation.epsilon":
+        raw["train"]["perturbation"]["epsilon"] = value
+    elif where == "train.inner_attack.step_size":
+        raw["train"]["inner_attack"]["step_size"] = value
+    elif where == "train.beta":
+        raw["train"]["beta"] = value
+    else:
+        raw["cascade"]["step_size"] = value
+    return raw
+
+
+NON_FINITE_SETTINGS = [
+    "train.perturbation.epsilon", "train.inner_attack.step_size", "train.beta", "cascade.step_size",
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", NON_FINITE_SETTINGS)
+def test_non_finite_attack_and_loss_settings_rejected(where, value):
+    """NaN fails every comparison, so the range checks must ask for finite values."""
+    section, key = where.rsplit(".", 1)
+    with pytest.raises(ConfigError, match=f"^{section}: {key} must be") as err:
+        parse_config(_with_attack_value(where, value))
+    assert "finite" in str(err.value)
+
+
+@pytest.mark.parametrize("where", NON_FINITE_SETTINGS)
+def test_cli_train_rejects_a_nan_setting_before_any_compute(tmp_path, capsys, where):
+    out = tmp_path / "run10"
+    path = write_config(tmp_path, _with_attack_value(where, float("nan"), output_dir=str(out)))
+    assert "NaN" in open(path).read()  # Python's json writes and reads NaN
+    assert cli(["train", "--config", path]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value", [("epochs", -3), ("batch_size", 0), ("lr0", 0.0), ("hidden", [16, 0])]
 )
