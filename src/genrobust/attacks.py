@@ -1,10 +1,11 @@
 """Inner maximization and robust evaluation.
 
-Norm-ball projections, FGSM, multi-restart PGD with sign or Adam inner
-updates over several objectives, and a two-stage evaluation cascade
+Norm-ball projections, multi-restart PGD with sign or Adam inner updates
+over several objectives, and a two-stage evaluation cascade
 (untargeted cross-entropy PGD, then targeted-margin PGD against the top-k
 incorrect classes). Every returned perturbation satisfies the ball
-constraint and keeps the adversarial input inside [0,1].
+constraint and keeps the adversarial input inside [0,1]. No attack builds
+a Tensor: all run on the model's plain forward and input gradient.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as mdl
-from .autodiff import NumericError, Tensor
+from .autodiff import NumericError
 from .autodiff import backward  # noqa: F401  (perfbench's tracer wraps attacks.backward)
 from .data import LabeledDataset, derive_rng
 
@@ -32,7 +33,6 @@ __all__ = [
     "margin_loss",
     "pgd",
     "pgd_on_objective",
-    "fgsm",
     "attack_cascade",
 ]
 
@@ -94,7 +94,7 @@ class AttackResult:
 
 
 def _flat_norms(delta: np.ndarray) -> np.ndarray:
-    return np.sqrt((delta.reshape(delta.shape[0], -1) ** 2).sum(axis=1))
+    return np.sqrt((delta.reshape(delta.shape[0], math.prod(delta.shape[1:])) ** 2).sum(axis=1))
 
 
 def project(delta: np.ndarray, pset: PerturbationSet) -> np.ndarray:
@@ -134,10 +134,21 @@ def random_start(pset: PerturbationSet, shape: tuple, rng: np.random.Generator) 
     return direction * (radius / norm)
 
 
+def _rows(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per-row entry z[i, idx[i]]."""
+    return z[np.arange(len(idx)), idx]
+
+
 def margin_loss(logits, labels: np.ndarray) -> np.ndarray:
     """Per-example z_y - max_{i != y} z_i; negative iff misclassified."""
-    z = logits if isinstance(logits, Tensor) else Tensor(logits)
-    return ad.sub(ad.gather_labels(z, labels), ad.max_excluding(z, labels)).data
+    z = np.asarray(logits)
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise ad.ShapeError(f"margin_loss needs [B,C] logits with C >= 2, got {z.shape}")
+    ad.check_finite(z, "margin_loss input")
+    labels = ad.check_labels(labels, *z.shape)
+    out = _rows(z, labels) - _rows(z, ad.argmax_excluding(z, labels))
+    ad.check_finite(out, "margin_loss")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +157,22 @@ def margin_loss(logits, labels: np.ndarray) -> np.ndarray:
 
 def _objective_values(
     objective: str,
-    logits: Tensor,
+    z: np.ndarray,
     labels: np.ndarray,
     targets: Optional[np.ndarray],
-    clean: Optional[Tensor],
+    logp_clean: Optional[np.ndarray],
+    p_clean: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Per-example value [B] of one attack objective."""
+    """Per-example value [B] of one attack objective at the logits z, in
+    the expressions of the matching autodiff primitive's forward;
+    kl-vs-clean takes the clean log-probabilities and probabilities."""
     if objective == "cross-entropy":
-        return ad.softmax_cross_entropy_rows(logits, labels).data
+        return -_rows(ad.log_softmax(z), labels)
     if objective == "kl-vs-clean":
-        return ad.kl_divergence_rows(clean, logits).data
+        return (p_clean * (logp_clean - ad.log_softmax(z))).sum(axis=1)
     if objective == "margin":  # max_{i != y} z_i - z_y, the negated margin
-        high = ad.max_excluding(logits, labels)
-    else:  # targeted-margin: z_target - z_y
-        high = ad.gather_labels(logits, targets)
-    return ad.sub(high, ad.gather_labels(logits, labels)).data
+        return _rows(z, ad.argmax_excluding(z, labels)) - _rows(z, labels)
+    return _rows(z, targets) - _rows(z, labels)  # targeted-margin: z_target - z_y
 
 
 # the ascent follows the batch mean of these objectives, the sum of the others
@@ -184,7 +196,8 @@ def _logit_gradient(
     one-hots, and the clean probabilities ``p_clean`` of kl-vs-clean.
     """
     b = len(labels)
-    fill = ad.spread(np.ones((), dtype=dtype), (b,), dtype, b if objective in _MEAN_OBJECTIVES else 1)
+    n = max(b, 1) if objective in _MEAN_OBJECTIVES else 1  # an empty batch spreads nothing
+    fill = ad.spread(np.ones((), dtype=dtype), (b,), dtype, n)
     if objective == "cross-entropy":
         onehot = ad.scatter_rows(np.ones(b, dtype=dtype), labels, n_classes)
         return lambda z: ad.cross_entropy_grad(ad.log_softmax(z), onehot, fill)
@@ -250,15 +263,10 @@ def pgd_on_objective(
     best_success = np.zeros(b, dtype=bool)
 
     for restart in range(cfg.restarts):
+        delta = np.zeros_like(x)
         if cfg.random_start:
-            delta = np.stack(
-                [
-                    random_start(pset, x.shape[1:], derive_rng(cfg.seed, restart, int(example_ids[i])))
-                    for i in range(b)
-                ]
-            )
-        else:
-            delta = np.zeros_like(x)
+            for i in range(b):
+                delta[i] = random_start(pset, x.shape[1:], derive_rng(cfg.seed, restart, int(example_ids[i])))
         delta = project(delta, pset)
         delta = np.clip(x + delta, 0.0, 1.0) - x
 
@@ -311,14 +319,16 @@ def pgd(
     logits [B,C].
     """
     n, n_classes, dtype = len(x), model.config.num_classes, model.config.dtype
-    clean = p_clean = None
+    logp_clean = p_clean = None
     if cfg.objective == "kl-vs-clean":
         ref = np.asarray(y_or_reference)
         if ref.shape != (n, n_classes):
             raise ValueError(f"kl-vs-clean needs clean logits [{n},{n_classes}] as reference")
         labels = np.argmax(ref, axis=1)
-        clean = Tensor(np.asarray(ref, dtype=dtype))
-        p_clean = np.exp(ad.log_softmax(clean.data))
+        clean = np.asarray(ref, dtype=dtype)
+        ad.check_finite(clean, "kl-vs-clean reference")
+        logp_clean = ad.log_softmax(clean)
+        p_clean = np.exp(logp_clean)
     else:
         labels = np.asarray(y_or_reference)
         if labels.ndim != 1:
@@ -336,39 +346,14 @@ def pgd(
         return mdl.input_gradient(model, x_adv, logit_grad, use_ema=use_ema)
 
     def evaluate(x_adv):
-        z = mdl.forward_logits(model, x_adv, use_ema=use_ema)
-        return z.data, _objective_values(cfg.objective, z, labels, targets, clean)
+        z = mdl.forward_arrays(model, x_adv, use_ema=use_ema)[0]
+        values = _objective_values(cfg.objective, z, labels, targets, logp_clean, p_clean)
+        ad.check_finite(values, "attack objective")
+        return z, values
 
     return pgd_on_objective(
         gradient, evaluate, x, pset, cfg, labels=labels, example_ids=example_ids, dtype=dtype,
     )
-
-
-def fgsm(
-    model: mdl.Classifier,
-    x: np.ndarray,
-    y: np.ndarray,
-    pset: PerturbationSet,
-    step: Optional[float] = None,
-) -> AttackResult:
-    """Single normalized gradient step of size epsilon (Linf only)."""
-    if pset.norm != LINF:
-        raise ValueError("fgsm is defined for Linf perturbation sets")
-    size = pset.epsilon if step is None else step
-    if size == 0.0 or pset.epsilon == 0.0:
-        logits = mdl.forward_logits(model, x)
-        return AttackResult(
-            delta=np.zeros_like(np.asarray(x, dtype=np.float64)),
-            x_adv=np.asarray(x, dtype=np.float64).copy(),
-            objective_value=ad.softmax_cross_entropy_rows(logits, np.asarray(y)).data,
-            success=np.argmax(logits.data, axis=1) != np.asarray(y),
-            logits=logits.data,
-        )
-    cfg = AttackConfig(
-        steps=1, step_size=size, inner_optimizer="sign-sgd", restarts=1,
-        objective="cross-entropy", random_start=False,
-    )
-    return pgd(model, x, y, pset, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +416,7 @@ def _cascade_chunk(
     ccfg: CascadeConfig,
     use_ema: bool,
 ) -> list[dict]:
-    clean_logits = mdl.forward_logits(model, images, use_ema=use_ema).data
+    clean_logits = mdl.predict_logits(model, images, use_ema=use_ema)
     clean_pred = np.argmax(clean_logits, axis=1)
     clean_correct = clean_pred == labels
     worst_margin = margin_loss(clean_logits, labels)
@@ -493,18 +478,16 @@ def _cascade_chunk(
         )
         stage2_survived[live_idx[attacked.success]] = False
 
-    rows = []
-    for i in range(len(labels)):
-        rows.append(
-            {
-                "example_id": int(ids[i]),
-                "clean_correct": bool(clean_correct[i]),
-                "stage1_survived": bool(stage1_survived[i]),
-                "stage2_survived": bool(stage2_survived[i]),
-                "worst_margin": float(worst_margin[i]),
-            }
-        )
-    return rows
+    return [
+        {
+            "example_id": int(ids[i]),
+            "clean_correct": bool(clean_correct[i]),
+            "stage1_survived": bool(stage1_survived[i]),
+            "stage2_survived": bool(stage2_survived[i]),
+            "worst_margin": float(worst_margin[i]),
+        }
+        for i in range(len(labels))
+    ]
 
 
 def attack_cascade(

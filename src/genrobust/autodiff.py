@@ -18,10 +18,14 @@ Design notes
   (:func:`scatter_rows`, :func:`argmax_excluding`), the
   loss gradients toward logits (:func:`cross_entropy_grad`,
   :func:`kl_q_grad`) and the spread of a scalar gradient (:func:`spread`).
-  Each primitive's forward and backward calls them, so a tape-free
-  gradient built from them (``models.input_gradient`` and the attack
-  steps) runs the same numpy expressions as the tape, bit for bit. Such a
-  caller checks finiteness itself, once per pass rather than per op.
+  Each primitive's forward and backward calls them, so a tape-free pass
+  built from them (the models' plain forward and input gradient, the
+  attack objectives) runs the same numpy expressions as the tape, bit for
+  bit. Such a caller checks finiteness itself, once per pass rather than
+  per op. Besides parameter stores, only the training step builds Tensors;
+  the untaped ``tape=None`` path serves tests and the benchmark, and
+  ``neg``, ``tsum``, ``sub``, ``gather_labels`` and ``max_excluding`` stay
+  because ``perfbench/tracer.py`` binds them by name.
 * A :class:`Tape` records primitives in construction order, which is a
   topological order of the computation graph; :func:`backward` replays it
   once in reverse. A tape is owned by a single logical thread and must be
@@ -131,9 +135,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"

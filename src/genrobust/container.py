@@ -20,6 +20,7 @@ as reserved entries named "meta:<key>" holding UTF-8 bytes widened to u32.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -137,9 +138,17 @@ class _Reader:
 
 
 def load_container(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    """Read, CRC-check and validate a container; returns name -> array."""
+    """Read, CRC-check and validate a container; returns name -> array.
+    A malformed file raises ContainerError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse(blob, path)
+    except ContainerError as err:
+        raise ContainerError(f"{path}: {err}") from None
+
+
+def _parse(blob: bytes, path) -> _Entries:
     if len(blob) < len(MAGIC) + 12:
         raise ContainerError("truncated container")
     body, tail = blob[:-4], blob[-4:]
@@ -155,7 +164,10 @@ def load_container(path: str | os.PathLike) -> dict[str, np.ndarray]:
     out = _Entries(path)
     for _ in range(count):
         name_len = rd.u32()
-        name = rd.take(name_len).decode("utf-8")
+        try:
+            name = rd.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ContainerError("entry name is not UTF-8") from None
         if name in out:
             raise ContainerError(f"duplicate entry {name!r}")
         code = rd.u8()
@@ -164,11 +176,11 @@ def load_container(path: str | os.PathLike) -> dict[str, np.ndarray]:
             raise ContainerError(f"unknown dtype code {code}")
         rank = rd.u8()
         shape = struct.unpack(f"<{rank}Q", rd.take(8 * rank))
-        n_items = 1
-        for s in shape:
-            n_items *= s
-        payload = rd.take(n_items * dtype.itemsize)
-        arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        payload = rd.take(math.prod(shape) * dtype.itemsize)
+        try:
+            arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        except ValueError as err:  # extents numpy cannot hold, even around a zero
+            raise ContainerError(f"entry {name!r}: impossible shape {shape} ({err})") from None
         out[name] = arr.astype(dtype.newbyteorder("="))
     if rd.pos != len(body):
         raise ContainerError("trailing bytes after last entry")

@@ -25,6 +25,7 @@ __all__ = [
     "Classifier",
     "init",
     "forward_logits",
+    "forward_arrays",
     "forward_penultimate",
     "input_gradient",
     "ema_update",
@@ -143,44 +144,26 @@ def init(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Clas
     return Classifier(config=config, params=params, ema_params=params.copy())
 
 
-def _forward_mlp(
-    params: ParamStore, config: ModelConfig, x: Tensor, tape: Optional[Tape]
-) -> tuple[Tensor, Tensor]:
-    b = x.shape[0]
-    h = ad.reshape(x, (b, config.input_dim), tape)
+def _forward_mlp(params: ParamStore, config: ModelConfig, x: Tensor, tape: Optional[Tape]) -> Tensor:
+    h = ad.reshape(x, (x.shape[0], config.input_dim), tape)
     n_layers = len(config.hidden) + 1
-    penult = h
     for i in range(n_layers):
-        if i == n_layers - 1:
-            penult = h
         h = ad.add_bias(ad.matmul(h, params[f"w{i}"], tape), params[f"b{i}"], tape)
         if i < n_layers - 1:
             h = ad.silu(h, tape)
-    return h, penult
+    return h
 
 
-def _forward_cnn(
-    params: ParamStore, config: ModelConfig, x: Tensor, tape: Optional[Tape]
-) -> tuple[Tensor, Tensor]:
-    b = x.shape[0]
+def _forward_cnn(params: ParamStore, config: ModelConfig, x: Tensor, tape: Optional[Tape]) -> Tensor:
     h = ad.silu(ad.conv2d(x, params["conv0.w"], params["conv0.b"], stride=2, padding=1, tape=tape), tape)
     h = ad.silu(ad.conv2d(h, params["conv1.w"], params["conv1.b"], stride=2, padding=1, tape=tape), tape)
-    flat = ad.reshape(h, (b, _cnn_flat_dim(config)), tape)
-    logits = ad.add_bias(ad.matmul(flat, params["fc.w"], tape), params["fc.b"], tape)
-    return logits, flat
+    flat = ad.reshape(h, (x.shape[0], _cnn_flat_dim(config)), tape)
+    return ad.add_bias(ad.matmul(flat, params["fc.w"], tape), params["fc.b"], tape)
 
 
 def _check_input_shape(shape: tuple, config: ModelConfig) -> None:
     if len(shape) != 4 or shape[1:] != config.input_shape:
         raise ad.ShapeError(f"input shape {shape} does not match (B, {config.input_shape})")
-
-
-def _run(params, config, x, tape):
-    """Returns (logits, penultimate activations)."""
-    _check_input_shape(x.shape, config)
-    if config.kind == "mlp":
-        return _forward_mlp(params, config, x, tape)
-    return _forward_cnn(params, config, x, tape)
 
 
 def _coerce_input(x, dtype) -> Tensor:
@@ -198,16 +181,55 @@ def _weights(model: Classifier, use_ema: bool) -> ParamStore:
     return params
 
 
-def forward_logits(
-    model: Classifier,
-    x,
-    use_ema: bool = False,
-    tape: Optional[Tape] = None,
-) -> Tensor:
-    """Logits [B, C_out]; taped when a tape is supplied. Pure w.r.t. params."""
+def forward_logits(model: Classifier, x, use_ema: bool = False, tape: Optional[Tape] = None) -> Tensor:
+    """Logits [B, C_out] as a taped Tensor, the training step's forward; pure
+    w.r.t. params. Untaped passes use :func:`forward_arrays`: the same bits."""
     xt = _coerce_input(x, model.config.dtype)
-    logits, _ = _run(_weights(model, use_ema), model.config, xt, tape)
-    return logits
+    _check_input_shape(xt.shape, model.config)
+    forward = _forward_mlp if model.config.kind == "mlp" else _forward_cnn
+    return forward(_weights(model, use_ema), model.config, xt, tape)
+
+
+def _forward_arrays(p: dict, config: ModelConfig, x, slopes: bool = False) -> tuple:
+    """One plain-array forward: (logits, penultimate features, each SiLU
+    slope when ``slopes``, else None), each step the numpy expression of the
+    matching primitive, so the bits are those of :func:`forward_logits`.
+    Only the logits are checked finite: a NaN or Inf anywhere upstream
+    reaches them, so overflowing weights still raise ``NumericError``."""
+    x = np.ascontiguousarray(x, dtype=config.dtype)
+    _check_input_shape(x.shape, config)
+    kept = [] if slopes else None
+
+    def act(z):
+        h, slope = ad.silu_arrays(z, slope=slopes)
+        if slopes:
+            kept.append(slope)
+        return h
+
+    if config.kind == "mlp":
+        h = x.reshape(x.shape[0], config.input_dim)
+        for i in range(len(config.hidden)):
+            h = act(h @ p[f"w{i}"] + p[f"b{i}"][None, :])
+        w, b = p[f"w{len(config.hidden)}"], p[f"b{len(config.hidden)}"]
+    else:
+        h = act(ad.conv2d_arrays(x, p["conv0.w"], p["conv0.b"], 2, 1)[0])
+        h = act(ad.conv2d_arrays(h, p["conv1.w"], p["conv1.b"], 2, 1)[0])
+        h = h.reshape(x.shape[0], _cnn_flat_dim(config))
+        w, b = p["fc.w"], p["fc.b"]
+    logits = h @ w + b[None, :]
+    ad.check_finite(logits, "model logits")
+    return logits, h, kept
+
+
+def _arrays(model: Classifier, use_ema: bool) -> dict:
+    return {name: t.data for name, t in _weights(model, use_ema).items()}
+
+
+def forward_arrays(model: Classifier, x, use_ema: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Untaped (logits [B, C_out], penultimate features [B, F]) of one
+    forward over the whole batch, as plain arrays; no Tensor is built."""
+    logits, features, _ = _forward_arrays(_arrays(model, use_ema), model.config, x)
+    return logits, features
 
 
 def input_gradient(
@@ -219,39 +241,25 @@ def input_gradient(
     """Gradient toward the input x [B,C,H,W] (model dtype) of a loss whose
     gradient toward the logits is ``logit_grad(logits)``; no tape.
 
-    One forward keeps each layer's SiLU slope, then the chain rule runs
-    back to the input. Every step is the numpy expression the matching
-    primitive's forward or backward runs, in the tape's order, so the
-    result is bit-identical to ``backward`` over a ``Tape(wrt=(x,))`` of
-    ``forward_logits``. The logits are checked finite once, before
-    ``logit_grad`` sees them; the caller checks the returned gradient.
+    The shared plain forward keeps each SiLU slope, then the chain rule runs
+    back to the input in the tape's order, with the expressions of the
+    primitives' backward, so the result is bit-identical to ``backward``
+    over a ``Tape(wrt=(x,))`` of ``forward_logits``. The caller checks the
+    returned gradient finite.
     """
     config = model.config
-    _check_input_shape(x.shape, config)
-    p = {name: t.data for name, t in _weights(model, use_ema).items()}
+    p = _arrays(model, use_ema)
+    logits, _, slopes = _forward_arrays(p, config, x, slopes=True)
+    g = logit_grad(logits)
     if config.kind == "mlp":
-        n_layers = len(config.hidden) + 1
-        h = x.reshape(x.shape[0], config.input_dim)
-        slopes = []
-        for i in range(n_layers):
-            h = h @ p[f"w{i}"] + p[f"b{i}"][None, :]
-            if i < n_layers - 1:
-                h, slope = ad.silu_arrays(h)
-                slopes.append(slope)
-        ad.check_finite(h, "model logits")
-        g = logit_grad(h)
-        for i in reversed(range(n_layers)):
+        for i in reversed(range(len(config.hidden) + 1)):
             g = g @ p[f"w{i}"].T
             if i:
                 g = g * slopes[i - 1]
         return g.reshape(x.shape)
-    h0, slope0 = ad.silu_arrays(ad.conv2d_arrays(x, p["conv0.w"], p["conv0.b"], 2, 1)[0])
-    h1, slope1 = ad.silu_arrays(ad.conv2d_arrays(h0, p["conv1.w"], p["conv1.b"], 2, 1)[0])
-    logits = h1.reshape(x.shape[0], _cnn_flat_dim(config)) @ p["fc.w"] + p["fc.b"][None, :]
-    ad.check_finite(logits, "model logits")
-    g = (logit_grad(logits) @ p["fc.w"].T).reshape(h1.shape)
-    g = ad.conv2d_input_grad(g * slope1, p["conv1.w"], h0.shape, 2, 1)
-    return ad.conv2d_input_grad(g * slope0, p["conv0.w"], x.shape, 2, 1)
+    g = (g @ p["fc.w"].T).reshape(slopes[1].shape)
+    g = ad.conv2d_input_grad(g * slopes[1], p["conv1.w"], slopes[0].shape, 2, 1)
+    return ad.conv2d_input_grad(g * slopes[0], p["conv0.w"], x.shape, 2, 1)
 
 
 # rows per untaped inference forward; bounds the activations held at once
@@ -268,12 +276,7 @@ def _untaped_rows(fn, images: np.ndarray) -> np.ndarray:
 def forward_penultimate(model: Classifier, x, use_ema: bool = False) -> np.ndarray:
     """Penultimate-layer activations (feature embedder backbone); untaped,
     one forward per 256 rows."""
-    params = _weights(model, use_ema)
-
-    def block(rows):
-        return _run(params, model.config, _coerce_input(rows, model.config.dtype), None)[1].data
-
-    return _untaped_rows(block, x)
+    return _untaped_rows(lambda rows: forward_arrays(model, rows, use_ema)[1], x)
 
 
 def ema_update(model: Classifier, tau: float) -> None:
@@ -296,7 +299,7 @@ def ema_snapshot(model: Classifier) -> Classifier:
 
 def predict_logits(model: Classifier, images: np.ndarray, use_ema: bool = False) -> np.ndarray:
     """Untaped logits [N, C_out], one forward per 256 rows."""
-    return _untaped_rows(lambda rows: forward_logits(model, rows, use_ema=use_ema).data, images)
+    return _untaped_rows(lambda rows: forward_arrays(model, rows, use_ema)[0], images)
 
 
 def predict_labels(model: Classifier, images: np.ndarray, use_ema: bool = False) -> np.ndarray:

@@ -13,7 +13,6 @@ from genrobust.attacks import (
     CascadeConfig,
     PerturbationSet,
     attack_cascade,
-    fgsm,
     margin_loss,
     pgd,
     pgd_on_objective,
@@ -255,46 +254,6 @@ def test_pgd_kl_objective_needs_reference_shape():
 # linear-model closed forms
 
 
-def test_fgsm_equals_single_step_pgd():
-    m = mdl.init(SMALL)
-    rng = np.random.default_rng(10)
-    x = rng.uniform(size=(4, 1, 2, 2))
-    y = rng.integers(0, 3, size=4)
-    pset = PerturbationSet("linf", 0.07)
-    a = fgsm(m, x, y, pset)
-    b = pgd(
-        m, x, y, pset,
-        AttackConfig(steps=1, step_size=pset.epsilon, random_start=False),
-    )
-    assert np.array_equal(a.delta, b.delta)
-
-
-def test_fgsm_epsilon_zero_identity():
-    m = mdl.init(SMALL)
-    x = np.random.default_rng(11).uniform(size=(2, 1, 2, 2))
-    y = np.array([0, 1])
-    res = fgsm(m, x, y, PerturbationSet("linf", 0.0))
-    assert np.array_equal(res.x_adv, x)
-
-
-def test_fgsm_strictly_increases_loss_on_linear_model():
-    rng = np.random.default_rng(12)
-    w = rng.normal(size=(4, 2))
-    b = rng.normal(size=2)
-    m = linear_model(w, b)
-    x = rng.uniform(0.3, 0.7, size=(6, 1, 1, 4))
-    y = rng.integers(0, 2, size=6)
-    pset = PerturbationSet("linf", 0.05)
-    res = fgsm(m, x, y, pset)
-
-    def ce(batch):
-        logits = mdl.forward_logits(m, batch).data
-        return -ad.log_softmax(logits)[np.arange(6), y]
-
-    before, after = ce(x), ce(res.x_adv)
-    assert np.all(after > before)  # gradient of a generic linear model is nonzero
-
-
 def test_linear_robustness_closed_form_in_cascade():
     """Linf eps above m / ||w_y - w_other||_1 breaks the example; below keeps it."""
     w = np.array([[1.0, -1.0], [0.5, -0.5], [0.25, -0.25], [0.0, 0.0]])
@@ -399,9 +358,17 @@ def _taped_rows(objective, logits, tape, labels, targets, clean):
     return ad.sub(high, ad.gather_labels(logits, labels, tape), tape)
 
 
+def _taped_logits(model, x, use_ema=False):
+    """The logits of a taped Tensor forward."""
+    return mdl.forward_logits(model, x, use_ema=use_ema, tape=ad.Tape()).data
+
+
 def _taped_input_grad(model, x_in, objective, labels, targets, clean, use_ema):
     """backward() of a Tape(wrt=(x,)) over forward_logits and the objective's
-    batch mean (cross-entropy, kl-vs-clean) or sum (the margins)."""
+    batch mean (cross-entropy, kl-vs-clean) or sum (the margins); an empty
+    batch, whose mean is undefined, has an empty gradient."""
+    if not len(x_in):
+        return np.zeros_like(x_in)
     x_t = Tensor(x_in)
     tape = ad.Tape(wrt=(x_t,))
     rows = _taped_rows(
@@ -413,14 +380,14 @@ def _taped_input_grad(model, x_in, objective, labels, targets, clean, use_ema):
     return ad.backward(obj, tape).wrt(x_t)
 
 
-def _attack_inputs(cfg, seed):
+def _attack_inputs(cfg, seed, n=6):
     model = mdl.init(cfg)
     for name, t in model.params.items():  # EMA weights that differ from the live ones
         model.ema_params.assign(name, Tensor(t.data * np.asarray(0.75, dtype=t.dtype)))
     rng = np.random.default_rng(seed)
-    x = rng.uniform(size=(6, *cfg.input_shape))
-    labels = rng.integers(0, cfg.num_classes, size=6)
-    targets = (labels + 1 + rng.integers(0, cfg.num_classes - 1, size=6)) % cfg.num_classes
+    x = rng.uniform(size=(n, *cfg.input_shape))
+    labels = rng.integers(0, cfg.num_classes, size=n)
+    targets = (labels + 1 + rng.integers(0, cfg.num_classes - 1, size=n)) % cfg.num_classes
     targets[0] = labels[0]  # a target equal to the label: the margin gradient cancels
     return model, x, labels, targets
 
@@ -442,27 +409,30 @@ def _bits(a):
 @pytest.mark.parametrize("base", ORACLE_MODELS, ids=ORACLE_IDS)
 def test_input_gradient_equals_the_taped_gradient_bitwise(base, precision):
     cfg = replace(base, precision=precision)
-    model, x, labels, targets = _attack_inputs(cfg, seed=31)
+    model, x_all, labels_all, targets_all = _attack_inputs(cfg, seed=31, n=300)
     dtype = cfg.dtype
-    x_in = x.astype(dtype)
-    for use_ema in (False, True):
-        clean_data = mdl.forward_logits(model, x * 0.9, use_ema=use_ema).data
-        clean = Tensor(clean_data)
-        for objective in OBJECTIVES:
-            labs = np.argmax(clean_data, axis=1) if objective == "kl-vs-clean" else labels
-            logit_grad = attacks._logit_gradient(
-                objective, labs, targets, np.exp(ad.log_softmax(clean_data)), cfg.num_classes, dtype
-            )
-            got = mdl.input_gradient(model, x_in, logit_grad, use_ema=use_ema)
-            want = _taped_input_grad(model, x_in, objective, labs, targets, clean, use_ema)
-            assert got.dtype == want.dtype == dtype
-            assert got.shape == want.shape == x.shape
-            assert np.array_equal(_bits(got), _bits(want)), (objective, use_ema)
+    for n in (0, 1, 6, 300):
+        x, labels, targets = x_all[:n], labels_all[:n], targets_all[:n]
+        x_in = x.astype(dtype)
+        for use_ema in (False, True):
+            clean_data = _taped_logits(model, x * 0.9, use_ema)
+            clean = Tensor(clean_data)
+            for objective in OBJECTIVES:
+                labs = np.argmax(clean_data, axis=1) if objective == "kl-vs-clean" else labels
+                logit_grad = attacks._logit_gradient(
+                    objective, labs, targets, np.exp(ad.log_softmax(clean_data)), cfg.num_classes, dtype
+                )
+                got = mdl.input_gradient(model, x_in, logit_grad, use_ema=use_ema)
+                want = _taped_input_grad(model, x_in, objective, labs, targets, clean, use_ema)
+                assert got.dtype == want.dtype == dtype
+                assert got.shape == want.shape == x.shape
+                assert np.array_equal(_bits(got), _bits(want)), (n, objective, use_ema)
 
 
-def _taped_pgd(model, x, ref, pset, cfg, targets=None):
+def _taped_pgd(model, x, ref, pset, cfg, targets=None, use_ema=False):
     """The PGD loop with one taped backward per step, as it ran before the
-    tape-free step: random starts, projection, clip, keeper and all."""
+    tape-free step: random starts, projection, clip, keeper and all. Each
+    restart ends with a taped Tensor forward and the taped objective rows."""
     dtype = model.config.dtype
     clean = None
     if cfg.objective == "kl-vs-clean":
@@ -478,15 +448,15 @@ def _taped_pgd(model, x, ref, pset, cfg, targets=None):
     best_val = np.full(b, -np.inf)
     best_success = np.zeros(b, dtype=bool)
     for restart in range(cfg.restarts):
-        delta = np.stack([
-            attacks.random_start(pset, x.shape[1:], derive_rng(cfg.seed, restart, i)) for i in range(b)
-        ])
+        delta = np.zeros_like(x)
+        for i in range(b):
+            delta[i] = attacks.random_start(pset, x.shape[1:], derive_rng(cfg.seed, restart, i))
         delta = project(delta, pset)
         delta = np.clip(x + delta, 0.0, 1.0) - x
         state = (np.zeros_like(x), np.zeros_like(x), 0)
         for _ in range(cfg.steps):
             grad = _taped_input_grad(
-                model, (x + delta).astype(dtype, copy=False), cfg.objective, labels, targets, clean, False
+                model, (x + delta).astype(dtype, copy=False), cfg.objective, labels, targets, clean, use_ema
             )
             if cfg.inner_optimizer == "sign-sgd":
                 delta = delta + cfg.step_size * np.sign(grad)
@@ -494,8 +464,9 @@ def _taped_pgd(model, x, ref, pset, cfg, targets=None):
                 delta, state = attacks._adam_ascend(delta, grad, state, cfg.step_size)
             delta = project(delta, pset)
             delta = np.clip(x + delta, 0.0, 1.0) - x
-        z = mdl.forward_logits(model, Tensor((x + delta).astype(dtype, copy=False)))
-        vals = _taped_rows(cfg.objective, z, None, labels, targets, clean).data
+        tape = ad.Tape()
+        z = mdl.forward_logits(model, Tensor((x + delta).astype(dtype, copy=False)), use_ema, tape)
+        vals = _taped_rows(cfg.objective, z, tape, labels, targets, clean).data
         succ = np.argmax(z.data, axis=1) != labels
         if restart == 0:
             best_logits = np.empty_like(z.data)
@@ -507,25 +478,70 @@ def _taped_pgd(model, x, ref, pset, cfg, targets=None):
     return best_delta, best_logits, best_val
 
 
-@pytest.mark.parametrize("base", ORACLE_MODELS, ids=ORACLE_IDS)
+@pytest.mark.parametrize(
+    "base",
+    ORACLE_MODELS + [replace(cfg, precision="single") for cfg in ORACLE_MODELS],
+    ids=ORACLE_IDS + [f"{i}-single" for i in ORACLE_IDS],
+)
 def test_pgd_equals_the_taped_pgd_bitwise(base):
-    model, x, labels, targets = _attack_inputs(base, seed=41)
-    clean = mdl.forward_logits(model, x).data
-    for norm in ("linf", "l2"):
-        for opt in ("adam", "sign-sgd"):
-            for objective in OBJECTIVES:
-                cfg = AttackConfig(
-                    steps=3, step_size=0.05, inner_optimizer=opt, restarts=2,
-                    objective=objective, seed=5,
-                )
-                ref = clean if objective == "kl-vs-clean" else labels
-                pset = PerturbationSet(norm, 0.25)
-                res = pgd(model, x, ref, pset, cfg, targets=targets)
-                delta, logits, values = _taped_pgd(model, x, ref, pset, cfg, targets)
-                case = (norm, opt, objective)
-                assert np.array_equal(_bits(res.delta), _bits(delta)), case
-                assert np.array_equal(_bits(res.logits), _bits(logits)), case
-                assert np.array_equal(_bits(res.objective_value), _bits(values)), case
+    """PGD's perturbations, logits and objective values equal the taped loop's
+    over norms, optimizers and objectives at 6 rows on live and EMA weights,
+    and per objective at 0, 1 and 300 rows."""
+    model, x_all, labels_all, targets_all = _attack_inputs(base, seed=41, n=300)
+    cases = [(6, norm, opt, use_ema) for norm in ("linf", "l2") for opt in ("adam", "sign-sgd")
+             for use_ema in (False, True)]
+    cases += [(n, "l2", "adam", True) for n in (0, 1, 300)]
+    for n, norm, opt, use_ema in cases:
+        x, labels, targets = x_all[:n], labels_all[:n], targets_all[:n]
+        clean = _taped_logits(model, x)
+        for objective in OBJECTIVES:
+            cfg = AttackConfig(
+                steps=3, step_size=0.05, inner_optimizer=opt, restarts=2,
+                objective=objective, seed=5,
+            )
+            ref = clean if objective == "kl-vs-clean" else labels
+            pset = PerturbationSet(norm, 0.25)
+            res = pgd(model, x, ref, pset, cfg, targets=targets, use_ema=use_ema)
+            delta, logits, values = _taped_pgd(model, x, ref, pset, cfg, targets, use_ema)
+            case = (n, norm, opt, use_ema, objective)
+            assert res.logits.dtype == logits.dtype == base.dtype, case
+            assert res.logits.shape == (n, base.num_classes) and res.objective_value.shape == (n,), case
+            assert np.array_equal(_bits(res.delta), _bits(delta)), case
+            assert np.array_equal(_bits(res.logits), _bits(logits)), case
+            assert np.array_equal(_bits(res.objective_value), _bits(values)), case
+
+
+def test_untaped_passes_build_no_tensor(monkeypatch):
+    """Inference, features, input gradients, PGD on every objective and the
+    cascade run on plain arrays: no Tensor is built, by either constructor."""
+    built = []
+    tensor_init, result = ad.Tensor.__init__, ad._result
+
+    def counting_init(self, *args, **kwargs):
+        built.append("Tensor")
+        tensor_init(self, *args, **kwargs)
+
+    def counting_result(*args):
+        built.append("_result")
+        return result(*args)
+
+    setups = [_attack_inputs(cfg, seed=51) for cfg in (ORACLE_MODELS[0], ORACLE_MODELS[2])]
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    monkeypatch.setattr(ad, "_result", counting_result)
+    for model, x, labels, targets in setups:
+        clean = mdl.predict_logits(model, x)
+        mdl.forward_penultimate(model, x, use_ema=True)
+        logit_grad = attacks._logit_gradient(
+            "cross-entropy", labels, None, None, model.config.num_classes, model.config.dtype
+        )
+        mdl.input_gradient(model, x, logit_grad)
+        for objective in OBJECTIVES:
+            ref = clean if objective == "kl-vs-clean" else labels
+            cfg = AttackConfig(steps=2, step_size=0.05, objective=objective)
+            pgd(model, x, ref, PerturbationSet("linf", 0.1), cfg, targets=targets, use_ema=True)
+        ccfg = CascadeConfig(stage1_steps=2, stage1_restarts=1, stage2_steps=2, stage2_restarts=1, top_k=2)
+        attack_cascade(model, LabeledDataset(x, labels), PerturbationSet("l2", 0.5), ccfg)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

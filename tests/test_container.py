@@ -163,3 +163,57 @@ def test_randomized_round_trips(tmp_path):
         for name, arr in tensors.items():
             assert loaded[name].dtype == arr.dtype
             assert np.array_equal(loaded[name], arr)
+
+
+def _field_offsets(body: bytes) -> dict:
+    """Byte ranges of each header field, per entry, found by walking the layout."""
+    fields = {"name_len": [], "name": [], "dtype": [], "rank": [], "extents": []}
+    pos = 12  # magic, version, entry count
+    while pos < len(body):
+        name_len = struct.unpack_from("<I", body, pos)[0]
+        fields["name_len"].append(range(pos, pos + 4))
+        fields["name"].append(range(pos + 4, pos + 4 + name_len))
+        pos += 4 + name_len
+        code, rank = body[pos], body[pos + 1]
+        fields["dtype"].append(range(pos, pos + 1))
+        fields["rank"].append(range(pos + 1, pos + 2))
+        fields["extents"].append(range(pos + 2, pos + 2 + 8 * rank))
+        shape = struct.unpack_from(f"<{rank}Q", body, pos + 2)
+        pos += 2 + 8 * rank + int(np.prod(shape)) * {1: 4, 2: 8, 3: 4}[code]
+    return fields
+
+
+def test_fuzzed_containers_fail_only_with_container_errors(tmp_path):
+    """Seeded byte corruptions with the CRC recomputed: each file either
+    loads or raises a ContainerError naming it. The corruptions aim at the
+    entry names, name lengths, dtype codes, ranks and extents (a zero-extent
+    entry's too) as well as at any byte."""
+    path = tmp_path / "fuzz.grtc"
+    save_container(path, {
+        "w": np.arange(6.0).reshape(2, 3), "naïve": np.ones(2, dtype=np.float32),
+        "empty": np.zeros((0, 3)), "labels": np.arange(3, dtype=np.uint32),
+    })
+    body = path.read_bytes()[:-4]
+    fields = _field_offsets(body)
+    fields["any"] = [range(len(body))]
+    kinds = sorted(fields)
+    rng = np.random.default_rng(11)
+    failures = {"UTF-8": 0, "impossible shape": 0}
+    bad = tmp_path / "bad.grtc"
+    for _ in range(3000):
+        spans = fields[kinds[rng.integers(len(kinds))]]
+        span = spans[rng.integers(len(spans))]
+        if not len(span):
+            continue
+        blob = bytearray(body)
+        for pos in rng.choice(span, size=min(len(span), int(rng.integers(1, 4))), replace=False):
+            blob[pos] = rng.integers(256)
+        blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
+        bad.write_bytes(bytes(blob))
+        try:
+            load_container(bad)
+        except ContainerError as err:
+            assert str(bad) in str(err)
+            for key in failures:
+                failures[key] += key in str(err)
+    assert all(failures.values()), failures  # both former escapes were reached

@@ -1,5 +1,7 @@
 """Classifier tests: init determinism, forward purity, EMA algebra, accuracy."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -264,11 +266,50 @@ def test_gradcheck_through_both_architectures():
                 assert abs(fd - g[idx]) / denom < 1e-5
 
 
-@pytest.mark.parametrize("cfg", [MLP, CNN], ids=["mlp", "small-cnn"])
+def _taped_forward(m, x, use_ema):
+    """Logits and penultimate features of a taped Tensor forward, built from
+    the autodiff primitives layer by layer."""
+    cfg, tape = m.config, Tape()
+    p = m.ema_params if use_ema else m.params
+    h = Tensor(np.asarray(x, dtype=cfg.dtype))
+    if cfg.kind == "mlp":
+        h = ad.reshape(h, (len(x), cfg.input_dim), tape)
+        for i in range(len(cfg.hidden)):
+            h = ad.silu(ad.add_bias(ad.matmul(h, p[f"w{i}"], tape), p[f"b{i}"], tape), tape)
+        w, b = p[f"w{len(cfg.hidden)}"], p[f"b{len(cfg.hidden)}"]
+    else:
+        for layer in ("conv0", "conv1"):
+            conv = ad.conv2d(h, p[f"{layer}.w"], p[f"{layer}.b"], stride=2, padding=1, tape=tape)
+            h = ad.silu(conv, tape)
+        h = ad.reshape(h, (len(x), p["fc.w"].shape[0]), tape)
+        w, b = p["fc.w"], p["fc.b"]
+    logits = models.forward_logits(m, x, use_ema=use_ema, tape=Tape())
+    assert np.array_equal(ad.add_bias(ad.matmul(h, w, tape), b, tape).data, logits.data)
+    return logits.data, h.data
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [MLP, CNN, replace(MLP, precision="single"), replace(CNN, precision="single")],
+    ids=["mlp", "small-cnn", "mlp-single", "small-cnn-single"],
+)
 def test_predict_logits_equals_forward_per_256_rows(cfg):
+    """predict_logits and forward_penultimate equal the taped Tensor forward
+    run per 256 rows, bit for bit and in the model dtype, on live and EMA
+    weights, at 0, 1 and 600 (256 + 256 + 88) rows."""
     m = models.init(cfg)
-    images = np.random.default_rng(3).uniform(size=(600, *cfg.input_shape))  # 256 + 256 + 88
-    want = np.concatenate(
-        [models.forward_logits(m, images[s : s + 256]).data for s in range(0, 600, 256)]
-    )
-    assert np.array_equal(models.predict_logits(m, images), want)
+    for name, t in m.params.items():  # EMA weights that differ from the live ones
+        m.ema_params.assign(name, Tensor(t.data * np.asarray(0.75, dtype=t.dtype)))
+    images = np.random.default_rng(3).uniform(size=(600, *cfg.input_shape))
+    for n in (0, 1, 600):
+        for use_ema in (False, True):
+            rows = images[:n]
+            blocks = [_taped_forward(m, rows[s : s + 256], use_ema) for s in range(0, max(n, 1), 256)]
+            want_logits = np.concatenate([z for z, _ in blocks])
+            want_features = np.concatenate([f for _, f in blocks])
+            got_logits = models.predict_logits(m, rows, use_ema=use_ema)
+            got_features = models.forward_penultimate(m, rows, use_ema=use_ema)
+            for got, want in ((got_logits, want_logits), (got_features, want_features)):
+                assert got.dtype == want.dtype == cfg.dtype
+                assert got.shape == want.shape and got.shape[0] == n
+                assert np.array_equal(got, want), (n, use_ema)
