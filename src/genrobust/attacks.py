@@ -311,7 +311,6 @@ def pgd(
     cfg: AttackConfig,
     targets: Optional[np.ndarray] = None,
     example_ids: Optional[np.ndarray] = None,
-    use_ema: bool = False,
 ) -> AttackResult:
     """PGD on a classifier; objective and inner optimizer set by cfg.
 
@@ -343,10 +342,10 @@ def pgd(
     logit_grad = _logit_gradient(cfg.objective, labels, targets, p_clean, n_classes, dtype)
 
     def gradient(x_adv):
-        return mdl.input_gradient(model, x_adv, logit_grad, use_ema=use_ema)
+        return mdl.input_gradient(model, x_adv, logit_grad)
 
     def evaluate(x_adv):
-        z = mdl.forward_arrays(model, x_adv, use_ema=use_ema)[0]
+        z = mdl.forward_arrays(model, x_adv)[0]
         values = _objective_values(cfg.objective, z, labels, targets, logp_clean, p_clean)
         ad.check_finite(values, "attack objective")
         return z, values
@@ -414,9 +413,8 @@ def _cascade_chunk(
     ids: np.ndarray,
     pset: PerturbationSet,
     ccfg: CascadeConfig,
-    use_ema: bool,
 ) -> list[dict]:
-    clean_logits = mdl.predict_logits(model, images, use_ema=use_ema)
+    clean_logits = mdl.predict_logits(model, images)
     clean_pred = np.argmax(clean_logits, axis=1)
     clean_correct = clean_pred == labels
     worst_margin = margin_loss(clean_logits, labels)
@@ -437,7 +435,6 @@ def _cascade_chunk(
             seed=ccfg.seed,
         ),
         example_ids=ids,
-        use_ema=use_ema,
     )
     worst_margin = np.minimum(worst_margin, margin_loss(stage1.logits, labels))
     stage1_survived = clean_correct & ~stage1.success
@@ -470,7 +467,6 @@ def _cascade_chunk(
             ),
             targets=targets[live],
             example_ids=ids[live],
-            use_ema=use_ema,
         )
         live_idx = np.flatnonzero(live)
         worst_margin[live_idx] = np.minimum(
@@ -495,7 +491,6 @@ def attack_cascade(
     data: LabeledDataset,
     pset: PerturbationSet,
     ccfg: CascadeConfig = CascadeConfig(),
-    use_ema: bool = False,
 ) -> CascadeResult:
     """Robust accuracy under the full cascade plus per-example records.
 
@@ -507,7 +502,7 @@ def attack_cascade(
     for s in range(0, n, CHUNK):
         records += _cascade_chunk(
             model, data.images[s : s + CHUNK], data.labels[s : s + CHUNK],
-            np.arange(s, min(s + CHUNK, n)), pset, ccfg, use_ema,
+            np.arange(s, min(s + CHUNK, n)), pset, ccfg,
         )
     robust = sum(1 for r in records if r["clean_correct"] and r["stage1_survived"] and r["stage2_survived"])
     clean = sum(1 for r in records if r["clean_correct"])

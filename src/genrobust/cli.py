@@ -19,7 +19,7 @@ import numpy as np
 
 from . import models as mdl
 from .attacks import attack_cascade
-from .config import ConfigError, ExperimentConfig, load_config, parse_config
+from .config import ConfigError, ExperimentConfig, GenerationSection, load_config, parse_config
 from .container import atomic_write_text, load_container, metadata_entries, save_container
 from .data import LabeledDataset, derive_rng
 from .diagnostics import (
@@ -290,6 +290,10 @@ def _cmd_diagnose(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
+    # prepare_sources labels the pool by max-prob with no top-k filter
+    for name in ("score_kind", "filter_top_k"):
+        if getattr(cfg.generation, name) != getattr(GenerationSection(), name):
+            raise ConfigError(f"sweep does not apply generation.{name}; leave it at its default")
     sweep = cfg.sweep
     sources = prepare_sources(
         cfg.dataset,

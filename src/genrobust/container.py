@@ -204,7 +204,10 @@ def decode_metadata(arr: np.ndarray) -> str:
     a = np.asarray(arr)
     if a.size and a.max() > 255:
         raise ContainerError("metadata entry holds non-byte values")
-    return a.astype(np.uint8).tobytes().decode("utf-8")
+    try:
+        return a.astype(np.uint8).tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise ContainerError("metadata entry is not UTF-8") from None
 
 
 def metadata_entries(meta: Mapping[str, str]) -> dict[str, np.ndarray]:

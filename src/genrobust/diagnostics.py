@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import models as mdl
-from .attacks import AttackConfig, PerturbationSet, margin_loss, pgd
+from .attacks import AttackConfig, CascadeConfig, PerturbationSet, margin_loss, pgd
 from .autodiff import softmax
 from .data import derive_rng
 from .generation import PcaModel, fit_pca
@@ -322,7 +322,7 @@ def loss_landscape(
         pset,
         AttackConfig(
             steps=pgd_steps,
-            step_size=max(2.5 * pset.epsilon / max(pgd_steps, 1), 1e-12),
+            step_size=CascadeConfig(inner_optimizer="sign-sgd").resolved_step(pset, pgd_steps),
             inner_optimizer="sign-sgd",
             restarts=1,
             objective="cross-entropy",

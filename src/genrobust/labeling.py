@@ -117,18 +117,22 @@ def _stratified_subsample(data: LabeledDataset, limit: int, rng) -> LabeledDatas
     return data.subset(np.sort(np.concatenate(keep)))
 
 
+# make_degraded_labeler's search: noisy-label training runs (epochs, lr0,
+# batch size) on a stratified subsample of at most _DEGRADED_MAX_TRAIN
+# examples, for at most _DEGRADED_TRIALS values of the noise rate
+_DEGRADED_EPOCHS = 150
+_DEGRADED_LR0 = 0.05
+_DEGRADED_BATCH = 16
+_DEGRADED_MAX_TRAIN = 160
+_DEGRADED_TRIALS = 5
+
+
 def make_degraded_labeler(
     data: LabeledDataset,
     target_accuracy: float,
     config: ModelConfig,
-    rng: Optional[np.random.Generator] = None,
     holdout: Optional[LabeledDataset] = None,
-    epochs: int = 150,
     tolerance: float = 0.02,
-    max_trials: int = 5,
-    lr0: float = 0.05,
-    batch_size: int = 16,
-    max_train: int = 160,
 ) -> tuple[Classifier, float]:
     """Labeler trained with symmetric label noise tuned to a target accuracy.
 
@@ -137,7 +141,7 @@ def make_degraded_labeler(
     it, which keeps held-out accuracy a smooth, near-linear function of eta
     (large pools trained to convergence shrug the noise off via plurality
     voting and make low targets unreachable). The first guess inverts
-    acc ~= 1 - eta * (C-1)/C; up to ``max_trials`` train-and-measure rounds
+    acc ~= 1 - eta * (C-1)/C; up to five train-and-measure rounds
     refine it with bracketed secant steps. Raises if no trial lands within
     ``tolerance`` of the target.
 
@@ -148,18 +152,18 @@ def make_degraded_labeler(
         raise ValueError(
             f"target accuracy must lie in (1/{num_classes}, 1], got {target_accuracy}"
         )
-    if rng is None:
-        rng = derive_rng("degraded", config.seed)
     if holdout is None:
         n_hold = max(1, len(data) // 5)
         holdout = data.subset(np.arange(len(data) - n_hold, len(data)))
         data = data.subset(np.arange(len(data) - n_hold))
 
     if target_accuracy >= 1.0 - tolerance:
-        model = train_nonrobust(data, config, epochs=min(epochs, 60), lr0=lr0, rng=rng)
+        model = train_nonrobust(
+            data, config, epochs=60, lr0=_DEGRADED_LR0, rng=derive_rng("degraded", config.seed)
+        )
         return model, mdl.accuracy(model, holdout)
 
-    data = _stratified_subsample(data, max_train, derive_rng("degraded-sub", config.seed))
+    data = _stratified_subsample(data, _DEGRADED_MAX_TRAIN, derive_rng("degraded-sub", config.seed))
 
     # one fixed noise draw: flips are nested in eta, resampled labels fixed,
     # and training is seeded identically per trial, so accuracy is a
@@ -172,7 +176,7 @@ def make_degraded_labeler(
         labels = np.where(u < eta, resampled, data.labels)
         noisy = LabeledDataset(data.images, labels)
         model = train_nonrobust(
-            noisy, config, epochs=epochs, lr0=lr0, batch_size=batch_size,
+            noisy, config, epochs=_DEGRADED_EPOCHS, lr0=_DEGRADED_LR0, batch_size=_DEGRADED_BATCH,
             rng=derive_rng("degraded-train", config.seed),
         )
         return model, mdl.accuracy(model, holdout)
@@ -182,7 +186,7 @@ def make_degraded_labeler(
     lo, hi = 0.0, 1.0  # bracket: accuracy decreasing in eta; lo side acc >= target
     best: Optional[tuple[float, Classifier, float]] = None
     tried: list[tuple[float, float]] = []
-    for _ in range(max_trials):
+    for _ in range(_DEGRADED_TRIALS):
         model, acc = train_with_noise(eta)
         gap = abs(acc - target_accuracy)
         if best is None or gap < best[0]:
@@ -206,7 +210,7 @@ def make_degraded_labeler(
         else:
             eta = 0.5 * (lo + hi)
     raise RuntimeError(
-        f"degraded labeler: target {target_accuracy:.3f} unreachable in {max_trials} trials "
+        f"degraded labeler: target {target_accuracy:.3f} unreachable in {_DEGRADED_TRIALS} trials "
         f"(closest achieved {best[2]:.3f})"
     )
 

@@ -8,7 +8,7 @@ and eval modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import json
@@ -29,7 +29,6 @@ __all__ = [
     "forward_penultimate",
     "input_gradient",
     "ema_update",
-    "ema_snapshot",
     "accuracy",
     "predict_logits",
     "predict_labels",
@@ -89,12 +88,6 @@ class ModelConfig:
 class Classifier:
     config: ModelConfig
     params: ParamStore
-    ema_params: Optional[ParamStore] = field(default=None)
-
-    def __post_init__(self):
-        if self.ema_params is not None:
-            if set(self.ema_params.names()) != set(self.params.names()):
-                raise ValueError("params and ema_params must share names")
 
 
 def _dense_init(rng, fan_in: int, fan_out: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +112,7 @@ def _cnn_flat_dim(config: ModelConfig) -> int:
 
 
 def init(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Classifier:
-    """Fan-in-scaled normal initialization; EMA copy starts equal to params."""
+    """Fan-in-scaled normal initialization."""
     if rng is None:
         rng = derive_rng("model-init", config.seed)
     dtype = config.dtype
@@ -141,7 +134,7 @@ def init(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Clas
         wf, bf = _dense_init(rng, _cnn_flat_dim(config), config.num_classes, dtype)
         params.create("fc.w", wf)
         params.create("fc.b", bf)
-    return Classifier(config=config, params=params, ema_params=params.copy())
+    return Classifier(config=config, params=params)
 
 
 def _forward_mlp(params: ParamStore, config: ModelConfig, x: Tensor, tape: Optional[Tape]) -> Tensor:
@@ -174,20 +167,13 @@ def _coerce_input(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _weights(model: Classifier, use_ema: bool) -> ParamStore:
-    params = model.ema_params if use_ema else model.params
-    if params is None:
-        raise ValueError("model has no EMA parameters")
-    return params
-
-
-def forward_logits(model: Classifier, x, use_ema: bool = False, tape: Optional[Tape] = None) -> Tensor:
+def forward_logits(model: Classifier, x, *, tape: Optional[Tape] = None) -> Tensor:
     """Logits [B, C_out] as a taped Tensor, the training step's forward; pure
     w.r.t. params. Untaped passes use :func:`forward_arrays`: the same bits."""
     xt = _coerce_input(x, model.config.dtype)
     _check_input_shape(xt.shape, model.config)
     forward = _forward_mlp if model.config.kind == "mlp" else _forward_cnn
-    return forward(_weights(model, use_ema), model.config, xt, tape)
+    return forward(model.params, model.config, xt, tape)
 
 
 def _forward_arrays(p: dict, config: ModelConfig, x, slopes: bool = False) -> tuple:
@@ -221,14 +207,14 @@ def _forward_arrays(p: dict, config: ModelConfig, x, slopes: bool = False) -> tu
     return logits, h, kept
 
 
-def _arrays(model: Classifier, use_ema: bool) -> dict:
-    return {name: t.data for name, t in _weights(model, use_ema).items()}
+def _arrays(model: Classifier) -> dict:
+    return {name: t.data for name, t in model.params.items()}
 
 
-def forward_arrays(model: Classifier, x, use_ema: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def forward_arrays(model: Classifier, x) -> tuple[np.ndarray, np.ndarray]:
     """Untaped (logits [B, C_out], penultimate features [B, F]) of one
     forward over the whole batch, as plain arrays; no Tensor is built."""
-    logits, features, _ = _forward_arrays(_arrays(model, use_ema), model.config, x)
+    logits, features, _ = _forward_arrays(_arrays(model), model.config, x)
     return logits, features
 
 
@@ -236,7 +222,6 @@ def input_gradient(
     model: Classifier,
     x: np.ndarray,
     logit_grad: Callable[[np.ndarray], np.ndarray],
-    use_ema: bool = False,
 ) -> np.ndarray:
     """Gradient toward the input x [B,C,H,W] (model dtype) of a loss whose
     gradient toward the logits is ``logit_grad(logits)``; no tape.
@@ -248,7 +233,7 @@ def input_gradient(
     returned gradient finite.
     """
     config = model.config
-    p = _arrays(model, use_ema)
+    p = _arrays(model)
     logits, _, slopes = _forward_arrays(p, config, x, slopes=True)
     g = logit_grad(logits)
     if config.kind == "mlp":
@@ -273,44 +258,34 @@ def _untaped_rows(fn, images: np.ndarray) -> np.ndarray:
     return np.concatenate([fn(images[s : s + _INFER_ROWS]) for s in starts])
 
 
-def forward_penultimate(model: Classifier, x, use_ema: bool = False) -> np.ndarray:
+def forward_penultimate(model: Classifier, x) -> np.ndarray:
     """Penultimate-layer activations (feature embedder backbone); untaped,
     one forward per 256 rows."""
-    return _untaped_rows(lambda rows: forward_arrays(model, rows, use_ema)[1], x)
+    return _untaped_rows(lambda rows: forward_arrays(model, rows)[1], x)
 
 
-def ema_update(model: Classifier, tau: float) -> None:
-    """ema <- tau * ema + (1 - tau) * params, per tensor."""
+def ema_update(ema: ParamStore, params: ParamStore, tau: float) -> None:
+    """ema <- tau * ema + (1 - tau) * params, per tensor, in place."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if model.ema_params is None:
-        raise ValueError("model has no EMA parameters")
-    for name, t in model.params.items():
-        old = model.ema_params[name].data
-        model.ema_params.assign(name, Tensor(tau * old + (1.0 - tau) * t.data))
+    for name, t in params.items():
+        ema.assign(name, Tensor(tau * ema[name].data + (1.0 - tau) * t.data))
 
 
-def ema_snapshot(model: Classifier) -> Classifier:
-    """A new classifier whose parameters and EMA copy both hold model's EMA weights."""
-    out = Classifier(config=model.config, params=model.ema_params.copy(), ema_params=None)
-    out.ema_params = out.params.copy()
-    return out
-
-
-def predict_logits(model: Classifier, images: np.ndarray, use_ema: bool = False) -> np.ndarray:
+def predict_logits(model: Classifier, images: np.ndarray) -> np.ndarray:
     """Untaped logits [N, C_out], one forward per 256 rows."""
-    return _untaped_rows(lambda rows: forward_arrays(model, rows, use_ema)[0], images)
+    return _untaped_rows(lambda rows: forward_arrays(model, rows)[0], images)
 
 
-def predict_labels(model: Classifier, images: np.ndarray, use_ema: bool = False) -> np.ndarray:
+def predict_labels(model: Classifier, images: np.ndarray) -> np.ndarray:
     """Argmax class per image; ties break toward the lowest class index."""
-    return np.argmax(predict_logits(model, images, use_ema=use_ema), axis=1)
+    return np.argmax(predict_logits(model, images), axis=1)
 
 
-def accuracy(model: Classifier, data: LabeledDataset, use_ema: bool = False) -> float:
+def accuracy(model: Classifier, data: LabeledDataset) -> float:
     if len(data) == 0:
         raise ValueError("accuracy of an empty dataset is undefined")
-    pred = predict_labels(model, data.images, use_ema=use_ema)
+    pred = predict_labels(model, data.images)
     return float(np.mean(pred == data.labels))
 
 
@@ -319,12 +294,7 @@ def accuracy(model: Classifier, data: LabeledDataset, use_ema: bool = False) -> 
 
 
 def save_checkpoint(path, model: Classifier, step: int = 0, config_hash: str = "") -> None:
-    entries = {}
-    for name, t in model.params.items():
-        entries[f"param:{name}"] = t.data
-    if model.ema_params is not None:
-        for name, t in model.ema_params.items():
-            entries[f"ema:{name}"] = t.data
+    entries = {f"param:{name}": t.data for name, t in model.params.items()}
     cfg = model.config
     meta = {
         "model_config": json.dumps(
@@ -345,32 +315,29 @@ def save_checkpoint(path, model: Classifier, step: int = 0, config_hash: str = "
     save_container(path, entries)
 
 
-def _check_params(store: ParamStore, expected: ParamStore, what: str) -> None:
+def _check_params(path, store: ParamStore, expected: ParamStore) -> None:
     """Raise ValueError at the first name, shape or dtype that differs from
     what the model config declares."""
     for name, want in expected.items():
         if name not in store:
-            raise ValueError(f"checkpoint lacks {what} {name!r}")
+            raise ValueError(f"{path}: checkpoint lacks parameter {name!r}")
         got = store[name]
         if got.shape != want.shape:
             raise ValueError(
-                f"checkpoint {what} {name!r}: shape {got.shape} != {want.shape} of the model config"
+                f"{path}: parameter {name!r}: shape {got.shape} != {want.shape} of the model config"
             )
         if got.dtype != want.dtype:
             raise ValueError(
-                f"checkpoint {what} {name!r}: dtype {got.dtype} != {want.dtype} of the model config"
+                f"{path}: parameter {name!r}: dtype {got.dtype} != {want.dtype} of the model config"
             )
     for name in store.names():
         if name not in expected:
-            raise ValueError(f"checkpoint has {what} {name!r}, which the model config lacks")
+            raise ValueError(f"{path}: checkpoint has parameter {name!r}, which the model config lacks")
 
 
-def load_checkpoint(path) -> tuple[Classifier, int]:
-    entries = load_container(path)
-    if "meta:model_config" not in entries:
-        raise ValueError(f"{path}: not a checkpoint (no model config)")
-    raw = json.loads(decode_metadata(entries["meta:model_config"]))
-    config = ModelConfig(
+def _model_config(text: str) -> ModelConfig:
+    raw = json.loads(text)
+    return ModelConfig(
         kind=raw["kind"],
         input_shape=tuple(raw["input_shape"]),
         num_classes=raw["num_classes"],
@@ -379,17 +346,27 @@ def load_checkpoint(path) -> tuple[Classifier, int]:
         seed=raw["seed"],
         precision=raw["precision"],
     )
+
+
+def load_checkpoint(path) -> tuple[Classifier, int]:
+    """(model, step) from a checkpoint's ``param:`` and ``meta:`` entries;
+    other entries (the ``ema:`` copies of older checkpoints) are ignored."""
+    entries = load_container(path)
+    if "meta:model_config" not in entries:
+        raise ValueError(f"{path}: not a checkpoint (no model config)")
+
+    def meta(key: str, parse):
+        try:
+            return parse(decode_metadata(entries[f"meta:{key}"]))
+        except (ValueError, KeyError, TypeError) as exc:  # ContainerError and JSON errors are ValueErrors
+            message = f"{path}: bad checkpoint metadata {key!r} ({type(exc).__name__}: {exc})"
+            raise ValueError(message) from None
+
+    config = meta("model_config", _model_config)
+    step = meta("step", int) if "meta:step" in entries else 0
     params = ParamStore()
-    ema = ParamStore()
     for key, arr in entries.items():
         if key.startswith("param:"):
             params.create(key[len("param:") :], np.asarray(arr))
-        elif key.startswith("ema:"):
-            ema.create(key[len("ema:") :], np.asarray(arr))
-    expected = init(config).params
-    _check_params(params, expected, "parameter")
-    if len(ema):
-        _check_params(ema, expected, "EMA parameter")
-    model = Classifier(config=config, params=params, ema_params=ema if len(ema) else params.copy())
-    step = int(decode_metadata(entries["meta:step"])) if "meta:step" in entries else 0
-    return model, step
+    _check_params(path, params, init(config).params)
+    return Classifier(config=config, params=params), step

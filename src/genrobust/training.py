@@ -239,17 +239,18 @@ def train(
 
     The original dataset's last ``early_stop.validation_size`` examples are
     held out for validation and never trained on: stage 1 of the evaluation
-    cascade, one restart of sign-gradient PGD, on the EMA weights.
+    cascade, one restart of sign-gradient PGD, on a snapshot of the EMA
+    weights, which the loop keeps beside the optimizer's state.
     ``shuffle_rng`` orders the originals (default: derived from the seed).
     """
     n_orig, n_gen = mixed_counts(config.alpha, config.batch_size)
     if n_gen > 0 and (gen is None or len(gen) == 0):
         raise ValueError("alpha < 1 requires a generated pool")
-    work = Classifier(config=model.config, params=model.params.copy(), ema_params=model.ema_params.copy())
+    ema = model.params.copy()
     report = TrainReport()
     if config.epochs == 0:
         report.best_step = 0
-        return mdl.ema_snapshot(work), report
+        return Classifier(config=model.config, params=ema), report
 
     val_n = min(config.early_stop.validation_size, max(len(orig) - 1, 0))
     if len(orig) - val_n < n_orig:
@@ -265,6 +266,7 @@ def train(
     if shuffle_rng is None:
         shuffle_rng = derive_rng("train-shuffle", config.seed)
     gen_rng = derive_rng("train-gen", config.seed)
+    work = Classifier(config=model.config, params=model.params.copy())
     optimizer = NesterovSGD(work.params, momentum=config.momentum, weight_decay=config.weight_decay)
 
     pgd_steps = config.early_stop.pgd_steps
@@ -275,16 +277,17 @@ def train(
     step = 0
     losses: list[float] = []
     best = (-1.0, -1)  # (val robust accuracy, step)
-    best_model = mdl.ema_snapshot(work)
+    best_model = None  # the first validation always sets it
 
     def evaluate(at_step: int) -> None:
         nonlocal best, best_model
         if val_n == 0:
             return
+        snapshot = Classifier(config=model.config, params=ema.copy())
         if config.perturbation.epsilon == 0.0 or pgd_steps == 0:
-            val_clean = val_robust = mdl.accuracy(work, val_split, use_ema=True)
+            val_clean = val_robust = mdl.accuracy(snapshot, val_split)
         else:
-            res = attack_cascade(work, val_split, config.perturbation, val_cascade, use_ema=True)
+            res = attack_cascade(snapshot, val_split, config.perturbation, val_cascade)
             val_clean, val_robust = res.clean_accuracy, res.robust_accuracy
         mean_loss = float(np.mean(losses)) if losses else 0.0
         losses.clear()
@@ -299,7 +302,7 @@ def train(
         )
         if val_robust > best[0]:
             best = (val_robust, at_step)
-            best_model = mdl.ema_snapshot(work)
+            best_model = snapshot
 
     try:
         for epoch in range(config.epochs):
@@ -322,7 +325,7 @@ def train(
                     )
                 grads = backward(loss, tape).for_params(work.params)
                 optimizer.step(grads, cosine_lr(step, total_steps, config.lr0))
-                mdl.ema_update(work, config.ema_tau)
+                mdl.ema_update(ema, work.params, config.ema_tau)
                 losses.append(loss.item())
                 step += 1
             if (epoch + 1) % config.early_stop.eval_every == 0 or epoch == config.epochs - 1:
@@ -334,7 +337,7 @@ def train(
         ) from exc
 
     if val_n == 0:
-        best_model = mdl.ema_snapshot(work)
+        best_model = Classifier(config=model.config, params=ema)
         best = (0.0, step)
     report.best_step = best[1]
     report.best_val_robust = best[0]

@@ -492,27 +492,28 @@ def test_criterion_11_schedule_ema_mixing_exactness():
 
     cfg = ModelConfig(kind="mlp", input_shape=(1, 2, 2), num_classes=2, hidden=(4,), seed=11)
     m = init(cfg)
+    ema = m.params.copy()
     for name in m.params.names():
         m.params.assign(name, Tensor(m.params[name].data + 0.5))
-    mdl.ema_update(m, 0.0)
-    ok &= all(np.array_equal(m.ema_params[n].data, t.data) for n, t in m.params.items())
-    frozen = {n: t.data.copy() for n, t in m.ema_params.items()}
+    mdl.ema_update(ema, m.params, 0.0)
+    ok &= all(np.array_equal(ema[n].data, t.data) for n, t in m.params.items())
+    frozen = {n: t.data.copy() for n, t in ema.items()}
     for name in m.params.names():
         m.params.assign(name, Tensor(m.params[name].data - 0.25))
-    mdl.ema_update(m, 1.0)
-    ok &= all(np.array_equal(m.ema_params[n].data, frozen[n]) for n in m.params.names())
+    mdl.ema_update(ema, m.params, 1.0)
+    ok &= all(np.array_equal(ema[n].data, frozen[n]) for n in m.params.names())
 
     tau, k = 0.9, 9
     rng = np.random.default_rng(11)
     ema0 = {}
     for name in m.params.names():
         ema0[name] = m.params[name].data + rng.normal(size=m.params[name].shape)
-        m.ema_params.assign(name, Tensor(ema0[name]))
+        ema.assign(name, Tensor(ema0[name]))
     for _ in range(k):
-        mdl.ema_update(m, tau)
+        mdl.ema_update(ema, m.params, tau)
     for name, t in m.params.items():
         expected = t.data + tau**k * (ema0[name] - t.data)
-        ok &= bool(np.max(np.abs(m.ema_params[name].data - expected)) < 1e-10)
+        ok &= bool(np.max(np.abs(ema[name].data - expected)) < 1e-10)
 
     for alpha in np.linspace(0, 1, 21):
         for batch in (1, 7, 10, 64):

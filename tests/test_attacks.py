@@ -36,7 +36,6 @@ def linear_model(w: np.ndarray, b: np.ndarray) -> mdl.Classifier:
     m.params.assign("b0", Tensor(np.full(d, shift)))
     m.params.assign("w1", Tensor(w))
     m.params.assign("b1", Tensor(b - shift * w.sum(axis=0)))
-    m.ema_params = m.params.copy()
     return m
 
 
@@ -232,8 +231,8 @@ def test_pgd_logits_are_the_logits_at_x_adv():
         for objective in ("cross-entropy", "kl-vs-clean", "margin", "targeted-margin"):
             cfg = AttackConfig(steps=3, step_size=0.05, restarts=3, objective=objective, target=1)
             ref = clean if objective == "kl-vs-clean" else y
-            res = pgd(m, x, ref, PerturbationSet(norm, 0.2), cfg, use_ema=True)
-            assert np.array_equal(res.logits, mdl.forward_logits(m, res.x_adv, use_ema=True).data)
+            res = pgd(m, x, ref, PerturbationSet(norm, 0.2), cfg)
+            assert np.array_equal(res.logits, mdl.forward_logits(m, res.x_adv).data)
             labels = np.argmax(clean, axis=1) if objective == "kl-vs-clean" else y
             assert np.array_equal(res.success, np.argmax(res.logits, axis=1) != labels)
 
@@ -312,7 +311,6 @@ def test_cascade_constant_model_keeps_clean_accuracy():
     m = mdl.init(cfg)
     for name in m.params.names():
         m.params.assign(name, Tensor(np.zeros(m.params[name].shape)))
-    m.ema_params = m.params.copy()
     rng = np.random.default_rng(13)
     x = rng.uniform(size=(10, 1, 2, 2))
     y = np.zeros(10, dtype=np.int64)  # constant logits: argmax ties to class 0
@@ -358,12 +356,12 @@ def _taped_rows(objective, logits, tape, labels, targets, clean):
     return ad.sub(high, ad.gather_labels(logits, labels, tape), tape)
 
 
-def _taped_logits(model, x, use_ema=False):
+def _taped_logits(model, x):
     """The logits of a taped Tensor forward."""
-    return mdl.forward_logits(model, x, use_ema=use_ema, tape=ad.Tape()).data
+    return mdl.forward_logits(model, x, tape=ad.Tape()).data
 
 
-def _taped_input_grad(model, x_in, objective, labels, targets, clean, use_ema):
+def _taped_input_grad(model, x_in, objective, labels, targets, clean):
     """backward() of a Tape(wrt=(x,)) over forward_logits and the objective's
     batch mean (cross-entropy, kl-vs-clean) or sum (the margins); an empty
     batch, whose mean is undefined, has an empty gradient."""
@@ -372,7 +370,7 @@ def _taped_input_grad(model, x_in, objective, labels, targets, clean, use_ema):
     x_t = Tensor(x_in)
     tape = ad.Tape(wrt=(x_t,))
     rows = _taped_rows(
-        objective, mdl.forward_logits(model, x_t, use_ema=use_ema, tape=tape), tape,
+        objective, mdl.forward_logits(model, x_t, tape=tape), tape,
         labels, targets, clean,
     )
     mean = objective in ("cross-entropy", "kl-vs-clean")
@@ -381,15 +379,18 @@ def _taped_input_grad(model, x_in, objective, labels, targets, clean, use_ema):
 
 
 def _attack_inputs(cfg, seed, n=6):
+    """Two classifiers (the initial weights, and those weights times 0.75),
+    inputs, labels and targets."""
     model = mdl.init(cfg)
-    for name, t in model.params.items():  # EMA weights that differ from the live ones
-        model.ema_params.assign(name, Tensor(t.data * np.asarray(0.75, dtype=t.dtype)))
+    scaled = mdl.Classifier(cfg, model.params.copy())
+    for name, t in model.params.items():
+        scaled.params.assign(name, Tensor(t.data * np.asarray(0.75, dtype=t.dtype)))
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, *cfg.input_shape))
     labels = rng.integers(0, cfg.num_classes, size=n)
     targets = (labels + 1 + rng.integers(0, cfg.num_classes - 1, size=n)) % cfg.num_classes
     targets[0] = labels[0]  # a target equal to the label: the margin gradient cancels
-    return model, x, labels, targets
+    return (model, scaled), x, labels, targets
 
 
 ORACLE_MODELS = [
@@ -409,27 +410,27 @@ def _bits(a):
 @pytest.mark.parametrize("base", ORACLE_MODELS, ids=ORACLE_IDS)
 def test_input_gradient_equals_the_taped_gradient_bitwise(base, precision):
     cfg = replace(base, precision=precision)
-    model, x_all, labels_all, targets_all = _attack_inputs(cfg, seed=31, n=300)
+    pair, x_all, labels_all, targets_all = _attack_inputs(cfg, seed=31, n=300)
     dtype = cfg.dtype
     for n in (0, 1, 6, 300):
         x, labels, targets = x_all[:n], labels_all[:n], targets_all[:n]
         x_in = x.astype(dtype)
-        for use_ema in (False, True):
-            clean_data = _taped_logits(model, x * 0.9, use_ema)
+        for which, model in enumerate(pair):
+            clean_data = _taped_logits(model, x * 0.9)
             clean = Tensor(clean_data)
             for objective in OBJECTIVES:
                 labs = np.argmax(clean_data, axis=1) if objective == "kl-vs-clean" else labels
                 logit_grad = attacks._logit_gradient(
                     objective, labs, targets, np.exp(ad.log_softmax(clean_data)), cfg.num_classes, dtype
                 )
-                got = mdl.input_gradient(model, x_in, logit_grad, use_ema=use_ema)
-                want = _taped_input_grad(model, x_in, objective, labs, targets, clean, use_ema)
+                got = mdl.input_gradient(model, x_in, logit_grad)
+                want = _taped_input_grad(model, x_in, objective, labs, targets, clean)
                 assert got.dtype == want.dtype == dtype
                 assert got.shape == want.shape == x.shape
-                assert np.array_equal(_bits(got), _bits(want)), (n, objective, use_ema)
+                assert np.array_equal(_bits(got), _bits(want)), (n, objective, which)
 
 
-def _taped_pgd(model, x, ref, pset, cfg, targets=None, use_ema=False):
+def _taped_pgd(model, x, ref, pset, cfg, targets=None):
     """The PGD loop with one taped backward per step, as it ran before the
     tape-free step: random starts, projection, clip, keeper and all. Each
     restart ends with a taped Tensor forward and the taped objective rows."""
@@ -456,7 +457,7 @@ def _taped_pgd(model, x, ref, pset, cfg, targets=None, use_ema=False):
         state = (np.zeros_like(x), np.zeros_like(x), 0)
         for _ in range(cfg.steps):
             grad = _taped_input_grad(
-                model, (x + delta).astype(dtype, copy=False), cfg.objective, labels, targets, clean, use_ema
+                model, (x + delta).astype(dtype, copy=False), cfg.objective, labels, targets, clean
             )
             if cfg.inner_optimizer == "sign-sgd":
                 delta = delta + cfg.step_size * np.sign(grad)
@@ -465,7 +466,7 @@ def _taped_pgd(model, x, ref, pset, cfg, targets=None, use_ema=False):
             delta = project(delta, pset)
             delta = np.clip(x + delta, 0.0, 1.0) - x
         tape = ad.Tape()
-        z = mdl.forward_logits(model, Tensor((x + delta).astype(dtype, copy=False)), use_ema, tape)
+        z = mdl.forward_logits(model, Tensor((x + delta).astype(dtype, copy=False)), tape=tape)
         vals = _taped_rows(cfg.objective, z, tape, labels, targets, clean).data
         succ = np.argmax(z.data, axis=1) != labels
         if restart == 0:
@@ -485,15 +486,16 @@ def _taped_pgd(model, x, ref, pset, cfg, targets=None, use_ema=False):
 )
 def test_pgd_equals_the_taped_pgd_bitwise(base):
     """PGD's perturbations, logits and objective values equal the taped loop's
-    over norms, optimizers and objectives at 6 rows on live and EMA weights,
+    over norms, optimizers and objectives at 6 rows on two sets of weights,
     and per objective at 0, 1 and 300 rows."""
-    model, x_all, labels_all, targets_all = _attack_inputs(base, seed=41, n=300)
-    cases = [(6, norm, opt, use_ema) for norm in ("linf", "l2") for opt in ("adam", "sign-sgd")
-             for use_ema in (False, True)]
-    cases += [(n, "l2", "adam", True) for n in (0, 1, 300)]
-    for n, norm, opt, use_ema in cases:
+    pair, x_all, labels_all, targets_all = _attack_inputs(base, seed=41, n=300)
+    cases = [(6, norm, opt, which) for norm in ("linf", "l2") for opt in ("adam", "sign-sgd")
+             for which in (0, 1)]
+    cases += [(n, "l2", "adam", 1) for n in (0, 1, 300)]
+    for n, norm, opt, which in cases:
         x, labels, targets = x_all[:n], labels_all[:n], targets_all[:n]
-        clean = _taped_logits(model, x)
+        clean = _taped_logits(pair[0], x)
+        model = pair[which]
         for objective in OBJECTIVES:
             cfg = AttackConfig(
                 steps=3, step_size=0.05, inner_optimizer=opt, restarts=2,
@@ -501,9 +503,9 @@ def test_pgd_equals_the_taped_pgd_bitwise(base):
             )
             ref = clean if objective == "kl-vs-clean" else labels
             pset = PerturbationSet(norm, 0.25)
-            res = pgd(model, x, ref, pset, cfg, targets=targets, use_ema=use_ema)
-            delta, logits, values = _taped_pgd(model, x, ref, pset, cfg, targets, use_ema)
-            case = (n, norm, opt, use_ema, objective)
+            res = pgd(model, x, ref, pset, cfg, targets=targets)
+            delta, logits, values = _taped_pgd(model, x, ref, pset, cfg, targets)
+            case = (n, norm, opt, which, objective)
             assert res.logits.dtype == logits.dtype == base.dtype, case
             assert res.logits.shape == (n, base.num_classes) and res.objective_value.shape == (n,), case
             assert np.array_equal(_bits(res.delta), _bits(delta)), case
@@ -528,9 +530,9 @@ def test_untaped_passes_build_no_tensor(monkeypatch):
     setups = [_attack_inputs(cfg, seed=51) for cfg in (ORACLE_MODELS[0], ORACLE_MODELS[2])]
     monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
     monkeypatch.setattr(ad, "_result", counting_result)
-    for model, x, labels, targets in setups:
+    for (model, scaled), x, labels, targets in setups:
         clean = mdl.predict_logits(model, x)
-        mdl.forward_penultimate(model, x, use_ema=True)
+        mdl.forward_penultimate(scaled, x)
         logit_grad = attacks._logit_gradient(
             "cross-entropy", labels, None, None, model.config.num_classes, model.config.dtype
         )
@@ -538,7 +540,7 @@ def test_untaped_passes_build_no_tensor(monkeypatch):
         for objective in OBJECTIVES:
             ref = clean if objective == "kl-vs-clean" else labels
             cfg = AttackConfig(steps=2, step_size=0.05, objective=objective)
-            pgd(model, x, ref, PerturbationSet("linf", 0.1), cfg, targets=targets, use_ema=True)
+            pgd(scaled, x, ref, PerturbationSet("linf", 0.1), cfg, targets=targets)
         ccfg = CascadeConfig(stage1_steps=2, stage1_restarts=1, stage2_steps=2, stage2_restarts=1, top_k=2)
         attack_cascade(model, LabeledDataset(x, labels), PerturbationSet("l2", 0.5), ccfg)
     assert built == []

@@ -187,6 +187,23 @@ def test_cli_train_nonrobust_rejects_a_bad_labeler_batch_size(tmp_path, capsys):
     assert not (out / "labeler.grtc").exists()
 
 
+@pytest.mark.parametrize("key, value", [("score_kind", "max-logit"), ("filter_top_k", 5)])
+def test_cli_sweep_rejects_a_generation_setting_it_ignores_before_any_compute(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    """sweep labels its pool by max-prob with no top-k filter, so it refuses
+    a config that asks for anything else rather than ignore it."""
+    from genrobust import cli as cli_module
+
+    monkeypatch.setattr(cli_module, "prepare_sources", lambda *a, **k: pytest.fail("sweep computed"))
+    out = tmp_path / "run11"
+    raw = minimal_raw(output_dir=str(out))
+    raw["generation"][key] = value
+    assert cli(["sweep", "--config", write_config(tmp_path, raw)]) == 1
+    assert f"generation.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_shape_mismatch_rejected():
     raw = minimal_raw()
     raw["model"]["input_shape"] = [1, 8, 8]

@@ -340,7 +340,6 @@ def test_is_uniform_classifier_scores_one():
     m = mdl.init(cfg)
     for name in m.params.names():
         m.params.assign(name, Tensor(np.zeros(m.params[name].shape)))
-    m.ema_params = m.params.copy()
     images = np.random.default_rng(11).uniform(size=(40, 1, 2, 2))
     mean, std = is_score(m, images, splits=4)
     assert abs(mean - 1.0) < 1e-9

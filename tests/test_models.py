@@ -8,7 +8,7 @@ import pytest
 from genrobust import autodiff as ad
 from genrobust import models
 from genrobust.autodiff import Tape, Tensor, backward
-from genrobust.container import load_container, save_container
+from genrobust.container import encode_metadata, load_container, save_container
 from genrobust.data import LabeledDataset, derive_rng
 from genrobust.models import Classifier, ModelConfig
 
@@ -54,15 +54,6 @@ def test_batch_independence():
     assert np.max(np.abs(full[3] - row3[0])) < 1e-6
 
 
-def test_ema_equals_params_at_init():
-    m = models.init(MLP)
-    rng = np.random.default_rng(0)
-    x = rng.uniform(size=(3, *MLP.input_shape))
-    a = models.forward_logits(m, x, use_ema=False).data
-    b = models.forward_logits(m, x, use_ema=True).data
-    assert np.array_equal(a, b)
-
-
 def test_pixel_sensitivity():
     m = models.init(CNN, rng=derive_rng("sens", 0))
     rng = np.random.default_rng(1)
@@ -76,21 +67,23 @@ def test_pixel_sensitivity():
 
 def test_ema_update_tau_zero_copies_params():
     m = models.init(MLP)
+    ema = m.params.copy()
     for name in m.params.names():
         m.params.assign(name, Tensor(m.params[name].data + 1.0))
-    models.ema_update(m, 0.0)
+    models.ema_update(ema, m.params, 0.0)
     for name, t in m.params.items():
-        assert np.array_equal(m.ema_params[name].data, t.data)
+        assert np.array_equal(ema[name].data, t.data)
 
 
 def test_ema_update_tau_one_freezes():
     m = models.init(MLP)
-    before = {n: t.data.copy() for n, t in m.ema_params.items()}
+    ema = m.params.copy()
+    before = {n: t.data.copy() for n, t in ema.items()}
     for name in m.params.names():
         m.params.assign(name, Tensor(m.params[name].data + 1.0))
-    models.ema_update(m, 1.0)
+    models.ema_update(ema, m.params, 1.0)
     for name in m.params.names():
-        assert np.array_equal(m.ema_params[name].data, before[name])
+        assert np.array_equal(ema[name].data, before[name])
 
 
 def test_ema_closed_form_recurrence():
@@ -98,41 +91,39 @@ def test_ema_closed_form_recurrence():
     m = models.init(MLP)
     tau = 0.9
     rng = np.random.default_rng(3)
+    ema = m.params.copy()
     ema0 = {}
     for name in m.params.names():
         offset = rng.normal(size=m.params[name].shape)
         ema0[name] = m.params[name].data + offset
-        m.ema_params.assign(name, Tensor(ema0[name]))
+        ema.assign(name, Tensor(ema0[name]))
     k = 7
     for _ in range(k):
-        models.ema_update(m, tau)
+        models.ema_update(ema, m.params, tau)
     for name, t in m.params.items():
         expected = t.data + tau**k * (ema0[name] - t.data)
-        assert np.max(np.abs(m.ema_params[name].data - expected)) < 1e-10
+        assert np.max(np.abs(ema[name].data - expected)) < 1e-10
 
 
 def test_ema_tau_out_of_range():
     m = models.init(MLP)
     with pytest.raises(ValueError):
-        models.ema_update(m, 1.5)
+        models.ema_update(m.params.copy(), m.params, 1.5)
 
 
 def test_ema_contraction():
     m = models.init(MLP)
     rng = np.random.default_rng(4)
+    ema = m.params.copy()
     for name in m.params.names():
-        m.ema_params.assign(
-            name, Tensor(m.params[name].data + rng.normal(size=m.params[name].shape))
-        )
+        ema.assign(name, Tensor(m.params[name].data + rng.normal(size=m.params[name].shape)))
 
     def gap():
-        return sum(
-            float(np.sum((m.ema_params[n].data - t.data) ** 2)) for n, t in m.params.items()
-        )
+        return sum(float(np.sum((ema[n].data - t.data) ** 2)) for n, t in m.params.items())
 
     prev = gap()
     for _ in range(5):
-        models.ema_update(m, 0.8)
+        models.ema_update(ema, m.params, 0.8)
         cur = gap()
         assert cur <= prev + 1e-15
         prev = cur
@@ -188,26 +179,42 @@ def test_shape_mismatch_raises():
 
 def test_checkpoint_round_trip_reproduces_logits(tmp_path):
     m = models.init(CNN)
-    models.ema_update(m, 0.5)
     rng = np.random.default_rng(17)
     x = rng.uniform(size=(3, *CNN.input_shape))
     before = models.forward_logits(m, x).data
-    before_ema = models.forward_logits(m, x, use_ema=True).data
     path = tmp_path / "ckpt.grtc"
     models.save_checkpoint(path, m, step=42, config_hash="feed")
+    assert sorted(k.split(":")[0] for k in load_container(path)) == ["meta"] * 3 + ["param"] * 6
     loaded, step = models.load_checkpoint(path)
     assert step == 42
     assert np.array_equal(models.forward_logits(loaded, x).data, before)
-    assert np.array_equal(models.forward_logits(loaded, x, use_ema=True).data, before_ema)
+
+
+def test_load_checkpoint_ignores_the_ema_entries_of_older_checkpoints(tmp_path):
+    """Older checkpoints also stored an ``ema:`` copy of every parameter
+    (equal to its ``param:`` entry); loading reads the ``param:`` entries."""
+    m = models.init(CNN)
+    x = np.random.default_rng(17).uniform(size=(3, *CNN.input_shape))
+    path = tmp_path / "ckpt.grtc"
+    models.save_checkpoint(path, m, step=7)
+    entries = load_container(path)
+    entries.update({f"ema:{name}": t.data for name, t in m.params.items()})
+    save_container(path, entries)
+    loaded, step = models.load_checkpoint(path)
+    assert step == 7 and loaded.params.names() == m.params.names()
+    assert np.array_equal(models.forward_logits(loaded, x).data, models.forward_logits(m, x).data)
 
 
 @pytest.mark.parametrize(
     "key, value, message",
     [
         ("param:w1", np.zeros((8, 9)), "shape"),
-        ("ema:b0", np.zeros(8, dtype=np.float32), "dtype"),
+        ("meta:model_config", np.array([0xFF], dtype=np.uint32), "not UTF-8"),
         ("param:w9", np.zeros((2, 2)), "lacks"),
         ("param:b1", None, "lacks"),
+        ("param:b0", np.zeros(8, dtype=np.float32), "dtype"),
+        ("meta:model_config", encode_metadata("{kind: mlp}"), "JSONDecodeError"),
+        ("meta:model_config", encode_metadata('{"hidden": [8, 8]}'), "KeyError: 'kind'"),
     ],
 )
 def test_load_checkpoint_rejects_parameters_that_differ_from_config(tmp_path, key, value, message):
@@ -220,8 +227,9 @@ def test_load_checkpoint_rejects_parameters_that_differ_from_config(tmp_path, ke
         entries[key] = value
     save_container(path, entries)
     name = key.split(":")[1]
-    with pytest.raises(ValueError, match=f"{name!r}.*{message}|{message}.*{name!r}"):
+    with pytest.raises(ValueError, match=f"{name!r}.*{message}|{message}.*{name!r}") as err:
         models.load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 def test_load_checkpoint_rejects_a_container_without_model_config(tmp_path):
@@ -266,11 +274,10 @@ def test_gradcheck_through_both_architectures():
                 assert abs(fd - g[idx]) / denom < 1e-5
 
 
-def _taped_forward(m, x, use_ema):
+def _taped_forward(m, x):
     """Logits and penultimate features of a taped Tensor forward, built from
     the autodiff primitives layer by layer."""
-    cfg, tape = m.config, Tape()
-    p = m.ema_params if use_ema else m.params
+    cfg, tape, p = m.config, Tape(), m.params
     h = Tensor(np.asarray(x, dtype=cfg.dtype))
     if cfg.kind == "mlp":
         h = ad.reshape(h, (len(x), cfg.input_dim), tape)
@@ -283,7 +290,7 @@ def _taped_forward(m, x, use_ema):
             h = ad.silu(conv, tape)
         h = ad.reshape(h, (len(x), p["fc.w"].shape[0]), tape)
         w, b = p["fc.w"], p["fc.b"]
-    logits = models.forward_logits(m, x, use_ema=use_ema, tape=Tape())
+    logits = models.forward_logits(m, x, tape=Tape())
     assert np.array_equal(ad.add_bias(ad.matmul(h, w, tape), b, tape).data, logits.data)
     return logits.data, h.data
 
@@ -295,21 +302,22 @@ def _taped_forward(m, x, use_ema):
 )
 def test_predict_logits_equals_forward_per_256_rows(cfg):
     """predict_logits and forward_penultimate equal the taped Tensor forward
-    run per 256 rows, bit for bit and in the model dtype, on live and EMA
+    run per 256 rows, bit for bit and in the model dtype, on two sets of
     weights, at 0, 1 and 600 (256 + 256 + 88) rows."""
     m = models.init(cfg)
-    for name, t in m.params.items():  # EMA weights that differ from the live ones
-        m.ema_params.assign(name, Tensor(t.data * np.asarray(0.75, dtype=t.dtype)))
+    scaled = models.Classifier(cfg, m.params.copy())  # a second model with other weights
+    for name, t in m.params.items():
+        scaled.params.assign(name, Tensor(t.data * np.asarray(0.75, dtype=t.dtype)))
     images = np.random.default_rng(3).uniform(size=(600, *cfg.input_shape))
     for n in (0, 1, 600):
-        for use_ema in (False, True):
+        for model in (m, scaled):
             rows = images[:n]
-            blocks = [_taped_forward(m, rows[s : s + 256], use_ema) for s in range(0, max(n, 1), 256)]
+            blocks = [_taped_forward(model, rows[s : s + 256]) for s in range(0, max(n, 1), 256)]
             want_logits = np.concatenate([z for z, _ in blocks])
             want_features = np.concatenate([f for _, f in blocks])
-            got_logits = models.predict_logits(m, rows, use_ema=use_ema)
-            got_features = models.forward_penultimate(m, rows, use_ema=use_ema)
+            got_logits = models.predict_logits(model, rows)
+            got_features = models.forward_penultimate(model, rows)
             for got, want in ((got_logits, want_logits), (got_features, want_features)):
                 assert got.dtype == want.dtype == cfg.dtype
                 assert got.shape == want.shape and got.shape[0] == n
-                assert np.array_equal(got, want), (n, use_ema)
+                assert np.array_equal(got, want), (n, model is scaled)

@@ -254,7 +254,8 @@ def test_zero_epochs_returns_input_model():
     ds = blob_dataset(80)
     model = init(MCFG)
     out, report = train(quick_config(epochs=0), ds, None, model)
-    for name, t in model.ema_params.items():
+    assert out is not model and out.params.names() == model.params.names()
+    for name, t in model.params.items():
         assert np.array_equal(out.params[name].data, t.data)
     assert report.rows == []
 
@@ -360,9 +361,8 @@ def test_single_precision_trains_in_float32():
     labeler = train_nonrobust(ds, single, epochs=2, batch_size=32)
     assert report.stopped_step > 0
     for model in (robust, labeler):
-        for store in (model.params, model.ema_params):
-            for name, t in store.items():
-                assert t.dtype == np.float32, name
+        for name, t in model.params.items():
+            assert t.dtype == np.float32, name
 
 
 def test_validation_equals_stage1_pgd_on_the_ema_weights():
@@ -387,8 +387,8 @@ def test_validation_equals_stage1_pgd_on_the_ema_weights():
     for s in range(0, len(val), 128):
         res = pgd(
             model, val.images[s : s + 128], val.labels[s : s + 128], cfg.perturbation, attack,
-            example_ids=np.arange(s, min(s + 128, len(val))), use_ema=True,
+            example_ids=np.arange(s, min(s + 128, len(val))),
         )
         survived += int(np.count_nonzero(~res.success))
     assert report.rows[0]["val_robust"] == survived / len(val)
-    assert report.rows[0]["val_clean"] == mdl.accuracy(model, val, use_ema=True)
+    assert report.rows[0]["val_clean"] == mdl.accuracy(model, val)
