@@ -216,13 +216,24 @@ def _logit_gradient(
 
 
 def _adam_ascend(delta, grad, state, lr):
+    """One Adam ascent step: the new delta and state. The moments m and v
+    of ``state`` are updated in place; delta and grad are left unchanged."""
     m, v, t = state
     t += 1
-    m = 0.9 * m + 0.1 * grad
-    v = 0.999 * v + 0.001 * grad * grad
-    mhat = m / (1.0 - 0.9**t)
-    vhat = v / (1.0 - 0.999**t)
-    return delta + lr * mhat / (np.sqrt(vhat) + 1e-8), (m, v, t)
+    m *= 0.9
+    m += 0.1 * grad
+    sq = 0.001 * grad
+    sq *= grad
+    v *= 0.999
+    v += sq
+    step = np.divide(m, 1.0 - 0.9**t)
+    step *= lr
+    den = np.divide(v, 1.0 - 0.999**t)
+    np.sqrt(den, out=den)
+    den += 1e-8
+    step /= den
+    step += delta
+    return step, (m, v, t)
 
 
 def pgd_on_objective(

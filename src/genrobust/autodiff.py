@@ -380,7 +380,7 @@ def silu_arrays(z: np.ndarray, slope: bool = True) -> tuple[np.ndarray, Optional
     # equals exp(-z) where z >= 0 and exp(z) elsewhere, so sig is
     # 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) on the two sides
     e = np.exp(-np.abs(z))
-    sig = np.where(z >= 0, 1.0, e)
+    sig = np.maximum(e, z >= 0)  # 1 where z >= 0 (e <= 1 there), else e; NaN stays NaN
     sig /= 1.0 + e
     # d/dz [z*s(z)] = s(z) * (1 + z * (1 - s(z)))
     return z * sig, (sig * (1.0 + z * (1.0 - sig)) if slope else None)
@@ -469,12 +469,22 @@ def add_bias(x: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """Patch matrix [B*OH*OW, C*kh*kw] of a padded input [B,C,HP,WP]: row
+    (b, i, j), column (c, u, v) holds xp[b, c, u + stride*i, v + stride*j].
+
+    It is C-ordered, and at B = 1 the transpose of a C-ordered
+    [C*kh*kw, OH*OW]. These are the layouts numpy's einsum route gave this
+    operand; keeping them keeps its BLAS calls, and so the results' bits."""
     b, c = xp.shape[0], xp.shape[1]
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=xp.dtype)
+    if b == 1:
+        cols = np.empty((c, kh, kw, b, oh, ow), dtype=xp.dtype).transpose(3, 4, 5, 0, 1, 2)
+    else:
+        cols = np.empty((b, oh, ow, c, kh, kw), dtype=xp.dtype)
     for u in range(kh):
         for v in range(kw):
-            cols[:, :, u, v] = xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
-    return cols.reshape(b, c * kh * kw, oh * ow)
+            patch = xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
+            cols[..., u, v] = patch.transpose(0, 2, 3, 1)
+    return cols.reshape(b * oh * ow, c * kh * kw)
 
 
 def _conv_geometry(x_shape, w_shape, stride: int, padding: int) -> tuple[int, int, int, int]:
@@ -496,30 +506,29 @@ def conv2d_arrays(
         xp[:, :, padding : padding + h, padding : padding + wd] = x
     else:
         xp = x
-    cols = _im2col(xp, kh, kw, stride, oh, ow)  # [B, C*kh*kw, OH*OW]
-    out2 = np.einsum("ok,bkn->bon", w.reshape(o, c * kh * kw), cols, optimize=True)
-    out2 += b[None, :, None]
-    return out2.reshape(bs, o, oh, ow), cols
+    cols = _im2col(xp, kh, kw, stride, oh, ow)  # [B*OH*OW, C*kh*kw]
+    out2 = cols @ w.reshape(o, c * kh * kw).T
+    out2 += b
+    return out2.reshape(bs, oh, ow, o).transpose(0, 3, 1, 2), cols
 
 
 def conv2d_input_grad(
     g: np.ndarray, w: np.ndarray, x_shape: tuple, stride: int, padding: int
 ) -> np.ndarray:
     """Gradient toward the convolution input, given g toward its output
-    (plain arrays): the weights' transpose, then a scatter of the columns."""
+    (plain arrays): the weights' transpose times g, then a scatter of the
+    columns in (u, v) order. The columns are laid out batch-last, so each
+    scatter add runs along the batch."""
     bs, c, h, wd = x_shape
     o, _, kh, kw = w.shape
     hp, wp, oh, ow = _conv_geometry(x_shape, w.shape, stride, padding)
-    g2 = g.reshape(bs, o, oh * ow)
-    gcols = np.einsum("ok,bon->bkn", w.reshape(o, c * kh * kw), g2, optimize=True)
-    gcols = gcols.reshape(bs, c, kh, kw, oh, ow)
-    gxp = np.zeros((bs, c, hp, wp), dtype=g.dtype)
+    g2 = g.transpose(1, 2, 3, 0).reshape(o, oh * ow * bs)
+    gcols = (w.reshape(o, c * kh * kw).T @ g2).reshape(c, kh, kw, oh, ow, bs)
+    gxp = np.zeros((c, hp, wp, bs), dtype=g.dtype)
     for u in range(kh):
         for v in range(kw):
-            gxp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += gcols[:, :, u, v]
-    if padding:
-        return gxp[:, :, padding : padding + h, padding : padding + wd]
-    return gxp
+            gxp[:, u : u + stride * oh : stride, v : v + stride * ow : stride] += gcols[:, u, v]
+    return gxp[:, padding : padding + h, padding : padding + wd].transpose(3, 0, 1, 2)
 
 
 def conv2d(
@@ -553,11 +562,14 @@ def conv2d(
         want_x, want_w, want_b = tape.wants(x), tape.wants(w), tape.wants(b)
 
         def bwd(g: np.ndarray):
-            g2 = g.reshape(g.shape[0], o, -1)
-            grad_b = g2.sum(axis=(0, 2)) if want_b else None
+            bs, n = g.shape[0], g.shape[2] * g.shape[3]
+            grad_b = g.reshape(bs, o, n).sum(axis=(0, 2)) if want_b else None
             grad_w = None
             if want_w:
-                grad_w = np.einsum("bon,bkn->ok", g2, cols, optimize=True).reshape(w.shape)
+                # [C*kh*kw, B*OH*OW] @ [B*OH*OW, O]; as in _im2col, the layouts
+                # (a transposed view of g's rows at B = 1) fix the BLAS calls
+                g_rows = g.transpose(0, 2, 3, 1).reshape(bs * n, o)
+                grad_w = (np.ascontiguousarray(cols.T) @ g_rows).T.reshape(w.shape)
             grad_x = conv2d_input_grad(g, w.data, x.shape, stride, padding) if want_x else None
             return grad_x, grad_w, grad_b
 

@@ -36,6 +36,7 @@ __all__ = [
     "load_container",
     "encode_metadata",
     "decode_metadata",
+    "read_metadata",
     "metadata_entries",
     "atomic_write_text",
 ]
@@ -208,6 +209,18 @@ def decode_metadata(arr: np.ndarray) -> str:
         return a.astype(np.uint8).tobytes().decode("utf-8")
     except UnicodeDecodeError:
         raise ContainerError("metadata entry is not UTF-8") from None
+
+
+def read_metadata(entries: _Entries, key: str) -> str:
+    """String metadata ``meta:<key>`` of a loaded container, "" when absent;
+    a bad entry raises ContainerError naming the file and the key."""
+    name = f"meta:{key}"
+    if name not in entries:
+        return ""
+    try:
+        return decode_metadata(entries[name])
+    except ContainerError as exc:
+        raise ContainerError(f"{entries.path}: bad metadata {key!r} ({exc})") from None
 
 
 def metadata_entries(meta: Mapping[str, str]) -> dict[str, np.ndarray]:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .container import decode_metadata, load_container, metadata_entries, save_container
+from .container import load_container, metadata_entries, read_metadata, save_container
 from .data import LabeledDataset
 
 __all__ = [
@@ -258,7 +258,5 @@ def load_external_samples(path) -> ExternalSampleSet:
     labels = entries.get("labels")
     if labels is not None:
         labels = labels.astype(np.int64)
-    provenance = ""
-    if "meta:provenance" in entries:
-        provenance = decode_metadata(entries["meta:provenance"])
+    provenance = read_metadata(entries, "provenance")
     return ExternalSampleSet(images=images, labels=labels, provenance=provenance)

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import models as mdl
 from .autodiff import backward  # noqa: F401  (perfbench's tracer wraps labeling.backward)
-from .container import decode_metadata, load_container, metadata_entries, save_container
+from .container import load_container, metadata_entries, read_metadata, save_container
 from .data import LabeledDataset, PseudoLabeledSet, derive_rng
 from .models import Classifier, ModelConfig
 from .training import EarlyStopConfig, TrainConfig, train
@@ -233,12 +233,9 @@ def save_pseudo_labeled(path, pset: PseudoLabeledSet, config_hash: str = "") -> 
 
 def load_pseudo_labeled(path) -> PseudoLabeledSet:
     entries = load_container(path)
-    labeler_id = ""
-    if "meta:labeler_id" in entries:
-        labeler_id = decode_metadata(entries["meta:labeler_id"])
     return PseudoLabeledSet(
         images=np.asarray(entries["images"], dtype=np.float64),
         pseudo_labels=entries["pseudo_labels"].astype(np.int64),
         scores=np.asarray(entries["scores"], dtype=np.float64),
-        labeler_id=labeler_id,
+        labeler_id=read_metadata(entries, "labeler_id"),
     )

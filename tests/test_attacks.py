@@ -430,6 +430,41 @@ def test_input_gradient_equals_the_taped_gradient_bitwise(base, precision):
                 assert np.array_equal(_bits(got), _bits(want)), (n, objective, which)
 
 
+def _adam_reference(delta, grad, state, lr):
+    """The out-of-place Adam ascent step, written as it was before it ran in place."""
+    m, v, t = state
+    t += 1
+    m = 0.9 * m + 0.1 * grad
+    v = 0.999 * v + 0.001 * grad * grad
+    mhat = m / (1.0 - 0.9**t)
+    vhat = v / (1.0 - 0.999**t)
+    return delta + lr * mhat / (np.sqrt(vhat) + 1e-8), (m, v, t)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_ascend_equals_the_out_of_place_step_bitwise(dtype):
+    """Five in-place steps give the reference's deltas and moments bit for
+    bit, from float64 deltas and gradients of the model's dtype spanning
+    eleven decades, and leave the delta and gradient they are given alone."""
+    rng = np.random.default_rng(17)
+    shape = (5, 3, 4, 4)
+    delta = want_delta = rng.uniform(-0.1, 0.1, size=shape)
+    state = (np.zeros(shape), np.zeros(shape), 0)
+    want_state = (np.zeros(shape), np.zeros(shape), 0)
+    for _ in range(5):
+        grad = (rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3, size=shape)).astype(dtype)
+        grad_before, delta_before = grad.copy(), delta.copy()
+        new_delta, state = attacks._adam_ascend(delta, grad, state, 0.1)
+        assert np.array_equal(_bits(grad), _bits(grad_before))
+        assert np.array_equal(_bits(delta), _bits(delta_before))
+        delta = new_delta
+        want_delta, want_state = _adam_reference(want_delta, grad, want_state, 0.1)
+        assert delta.dtype == np.float64
+        for got, want in ((delta, want_delta), (state[0], want_state[0]), (state[1], want_state[1])):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert state[2] == want_state[2]
+
+
 def _taped_pgd(model, x, ref, pset, cfg, targets=None):
     """The PGD loop with one taped backward per step, as it ran before the
     tape-free step: random starts, projection, clip, keeper and all. Each
@@ -462,7 +497,7 @@ def _taped_pgd(model, x, ref, pset, cfg, targets=None):
             if cfg.inner_optimizer == "sign-sgd":
                 delta = delta + cfg.step_size * np.sign(grad)
             else:
-                delta, state = attacks._adam_ascend(delta, grad, state, cfg.step_size)
+                delta, state = _adam_reference(delta, grad, state, cfg.step_size)
             delta = project(delta, pset)
             delta = np.clip(x + delta, 0.0, 1.0) - x
         tape = ad.Tape()

@@ -454,6 +454,99 @@ def test_silu_bitwise_equal_to_masked_formula(dtype):
     assert np.array_equal(out.data.view(bits), want_out.view(bits))
     assert np.array_equal(local.view(bits), want_local.view(bits))
 
+    # Tensors refuse non-finite data, so these go through the plain arrays:
+    # NaN in gives NaN out in value and slope (payloads are not compared),
+    # and +-inf give the reference's values and NaN slopes
+    z = np.array([np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0], dtype=dtype)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        out, local = ad.silu_arrays(z)
+        want_out, want_local = _silu_masked_reference(z)
+    assert out.dtype == local.dtype == dtype
+    assert np.isnan(out[:2]).all() and np.isnan(local[:2]).all()
+    for got, want in ((out, want_out), (local, want_local)):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert np.array_equal(got[finite].view(bits), want[finite].view(bits))
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the conv matmuls with the einsum forms they replaced
+
+
+def _einsum_conv(x, w, b, stride, padding):
+    """The former conv forward: [B, C*kh*kw, OH*OW] columns through einsum.
+    Returns the output and the columns."""
+    bs, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    xp = np.zeros((bs, c, hp, wp), dtype=x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    cols = np.empty((bs, c, kh, kw, oh, ow), dtype=x.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, :, u, v] = xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
+    cols = cols.reshape(bs, c * kh * kw, oh * ow)
+    out = np.einsum("ok,bkn->bon", w.reshape(o, c * kh * kw), cols, optimize=True)
+    out += b[None, :, None]
+    return out.reshape(bs, o, oh, ow), cols
+
+
+def _einsum_conv_grads(g, w, x_shape, cols, stride, padding):
+    """The former conv gradients toward input, weights and bias, given g
+    toward the output and the columns of :func:`_einsum_conv`."""
+    bs, c, h, wd = x_shape
+    o, _, kh, kw = w.shape
+    oh, ow = g.shape[2], g.shape[3]
+    g2 = g.reshape(bs, o, oh * ow)
+    gcols = np.einsum("ok,bon->bkn", w.reshape(o, c * kh * kw), g2, optimize=True)
+    gcols = gcols.reshape(bs, c, kh, kw, oh, ow)
+    gxp = np.zeros((bs, c, h + 2 * padding, wd + 2 * padding), dtype=g.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += gcols[:, :, u, v]
+    grad_x = gxp[:, :, padding : padding + h, padding : padding + wd]
+    grad_w = np.einsum("bon,bkn->ok", g2, cols, optimize=True).reshape(w.shape)
+    return grad_x, grad_w, g2.sum(axis=(0, 2))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int32 if a.dtype == np.float32 else np.int64)
+
+
+# the small CNN's two 3x3, stride-2, pad-1 layers: at 3x16x16 with channels
+# (8, 16), and at criterion 1's 1x8x8 with channels (3, 5)
+CONV_LAYERS = [(3, 8, 16), (8, 16, 8), (1, 3, 8), (3, 5, 4)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c,o,hw", CONV_LAYERS, ids=[f"{c}to{o}-{hw}" for c, o, hw in CONV_LAYERS])
+def test_conv_bitwise_equal_to_einsum_forms(c, o, hw, dtype):
+    """Forward, input gradient and the taped gradients equal the einsum
+    forms bit for bit. The forward and weight gradient keep einsum's operand
+    layouts (a transposed view at batch 1, a C-ordered copy otherwise); a
+    matmul on another layout differs in the last bits at some batch here."""
+    rng = np.random.default_rng(c * 100 + o)
+    w = rng.normal(scale=0.3, size=(o, c, 3, 3)).astype(dtype)
+    b = rng.normal(scale=0.1, size=o).astype(dtype)
+    for bs in (0, 1, 7, 32, 64):
+        x = rng.uniform(size=(bs, c, hw, hw)).astype(dtype)
+        want, cols = _einsum_conv(x, w, b, 2, 1)
+        got, _ = ad.conv2d_arrays(x, w, b, 2, 1)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want)), bs
+        g = rng.normal(size=want.shape).astype(dtype)
+        want_grads = _einsum_conv_grads(g, w, x.shape, cols, 2, 1)
+        assert np.array_equal(_bits(ad.conv2d_input_grad(g, w, x.shape, 2, 1)), _bits(want_grads[0])), bs
+        tx, tw, tb = Tensor(x), Tensor(w), Tensor(b)
+        tape = Tape()
+        out = ad.conv2d(tx, tw, tb, stride=2, padding=1, tape=tape)
+        grads = backward(ad.tsum(ad.mul(out, Tensor(g), tape), tape), tape)  # g toward out
+        for t, want_grad in zip((tx, tw, tb), want_grads):
+            got_grad = grads.wrt(t)
+            assert got_grad.dtype == dtype and got_grad.shape == t.shape
+            assert np.array_equal(_bits(got_grad), _bits(want_grad)), bs
+
 
 def _model_loss(model, x_t, tape, loss="ce", anchor=None):
     logits = models.forward_logits(model, x_t, tape=tape)

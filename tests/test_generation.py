@@ -259,6 +259,18 @@ def test_sample_set_round_trip(tmp_path):
     assert out.provenance == "external:diffusion"
 
 
+def test_load_external_samples_names_file_and_key_of_bad_metadata(tmp_path):
+    from genrobust.container import ContainerError, load_container, save_container
+
+    path = tmp_path / "samples.grtc"
+    save_sample_set(path, np.zeros((3, 1, 2, 2)), None, provenance="gaussian-fit")
+    entries = dict(load_container(path))
+    entries["meta:provenance"] = np.array([0xFF], dtype=np.uint32)
+    save_container(path, entries)
+    with pytest.raises(ContainerError, match=r"samples\.grtc: bad metadata 'provenance' \(.*not UTF-8"):
+        load_external_samples(path)
+
+
 def test_out_of_range_pixels_rejected(tmp_path):
     from genrobust.container import save_container
 

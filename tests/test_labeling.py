@@ -315,6 +315,18 @@ def test_pseudo_labeled_round_trip(tmp_path):
     assert out.labeler_id == "labeler-v1"
 
 
+def test_load_pseudo_labeled_names_file_and_key_of_bad_metadata(tmp_path):
+    from genrobust.container import ContainerError, load_container, save_container
+
+    path = tmp_path / "pool.grtc"
+    save_pseudo_labeled(path, _pset([0, 1, 1], [0.9, 0.8, 0.7]))
+    entries = dict(load_container(path))
+    entries["meta:labeler_id"] = np.array([0xFF], dtype=np.uint32)
+    save_container(path, entries)
+    with pytest.raises(ContainerError, match=r"pool\.grtc: bad metadata 'labeler_id' \(.*not UTF-8"):
+        load_pseudo_labeled(path)
+
+
 def test_load_pseudo_labeled_rejects_another_kind_of_container(tmp_path):
     from genrobust.container import save_container
 
