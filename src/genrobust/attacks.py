@@ -21,6 +21,7 @@ from . import models as mdl
 from .autodiff import NumericError
 from .autodiff import backward  # noqa: F401  (perfbench's tracer wraps attacks.backward)
 from .data import LabeledDataset, derive_rng
+from .parallel import fork_map
 
 __all__ = [
     "PerturbationSet",
@@ -506,15 +507,19 @@ def attack_cascade(
     """Robust accuracy under the full cascade plus per-example records.
 
     An example counts robust only if it is clean-correct and survives both
-    stages. Examples are attacked in fixed chunks of CHUNK.
+    stages. Examples are attacked in fixed chunks of CHUNK; each chunk is a
+    pure function of its rows and ids, so the chunks run in forked workers
+    (``parallel.fork_map``) and the records equal those of a serial loop.
     """
     n = len(data)
-    records = []
-    for s in range(0, n, CHUNK):
-        records += _cascade_chunk(
+    chunks = fork_map(
+        lambda s: _cascade_chunk(
             model, data.images[s : s + CHUNK], data.labels[s : s + CHUNK],
             np.arange(s, min(s + CHUNK, n)), pset, ccfg,
-        )
+        ),
+        range(0, n, CHUNK),
+    )
+    records = [r for chunk in chunks for r in chunk]
     robust = sum(1 for r in records if r["clean_correct"] and r["stage1_survived"] and r["stage2_survived"])
     clean = sum(1 for r in records if r["clean_correct"])
     return CascadeResult(

@@ -39,8 +39,8 @@ from .experiments import (
     run_condition23_probe,
     run_mixing_sweep,
     run_scaling_study,
-    sample_from_spec,
     sample_generated_holdout,
+    sample_true_sets,
 )
 from .generation import (
     default_component_count,
@@ -161,7 +161,7 @@ def _cmd_fit_gaussian(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_generate(cfg: ExperimentConfig, args) -> int:
     generator = load_generator(_out(cfg, args, "generator.grtc"))
-    per_class = args.per_class or cfg.generation.samples_per_class
+    per_class = args.per_class if args.per_class is not None else cfg.generation.samples_per_class
     images = np.concatenate(
         [
             sample(generator, c, per_class, derive_rng("cli-generate", cfg.dataset.seed, c))
@@ -216,7 +216,7 @@ def _cmd_train(cfg: ExperimentConfig, args) -> int:
 def _cmd_attack_eval(cfg: ExperimentConfig, args) -> int:
     model, _ = mdl.load_checkpoint(args.checkpoint or _out(cfg, args, "checkpoint.grtc"))
     test_ds = _read_dataset(_out(cfg, args, "test.grtc"))
-    if args.eval_size:
+    if args.eval_size is not None:
         test_ds = test_ds.subset(np.arange(min(args.eval_size, len(test_ds))))
     pert = cfg.train.perturbation
     if getattr(args, "epsilon", None) is not None:
@@ -320,22 +320,10 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
             level_tolerance=sweep.level_tolerance, out_dir=out_dir, config_hash=cfg.hash,
         )
     elif sweep.kind == "condition23":
-        spec = cfg.dataset
-        per_class_test = max(2, sweep.eval_size // spec.num_classes)
-        test_imgs = np.concatenate(
-            [sample_from_spec(spec, c, per_class_test, derive_rng("cli-true-test", spec.seed, c))
-             for c in range(spec.num_classes)]
+        true_test, true_pool = sample_true_sets(
+            sources, per_class=max(2, sweep.eval_size // cfg.dataset.num_classes),
+            pool_per_class=cfg.generation.samples_per_class,
         )
-        test_labels = np.concatenate(
-            [np.full(per_class_test, c, dtype=np.int64) for c in range(spec.num_classes)]
-        )
-        true_test = LabeledDataset(test_imgs, test_labels)
-        true_imgs = np.concatenate(
-            [sample_from_spec(spec, c, cfg.generation.samples_per_class,
-                              derive_rng("cli-true-pool", spec.seed, c))
-             for c in range(spec.num_classes)]
-        )
-        true_pool = pseudo_label(sources.labeler, true_imgs, labeler_id="true-generator")
         wide_cfg = None
         if sweep.wide_hidden:
             wide_cfg = replace(cfg.model, hidden=tuple(sweep.wide_hidden))
@@ -366,6 +354,13 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -388,7 +383,7 @@ def _build_parser() -> _Parser:
     add("make-data", _cmd_make_data)
     add("train-nonrobust", _cmd_train_nonrobust)
     add("fit-gaussian", _cmd_fit_gaussian)
-    add("generate", _cmd_generate, **{"--per-class": dict(type=int, default=None)})
+    add("generate", _cmd_generate, **{"--per-class": dict(type=_positive_int, default=None)})
     add("pseudo-label", _cmd_pseudo_label, **{
         "--samples": dict(default=None), "--labeler": dict(default=None),
     })
@@ -405,7 +400,7 @@ def _build_parser() -> _Parser:
     add("attack-eval", _cmd_attack_eval, **{
         "--checkpoint": dict(default=None),
         "--epsilon": dict(type=float, default=None),
-        "--eval-size": dict(type=int, default=None),
+        "--eval-size": dict(type=_positive_int, default=None),
     })
     add("diagnose", _cmd_diagnose, **{
         "--samples": dict(default=None),

@@ -44,6 +44,8 @@ class SweepSection:
     def __post_init__(self):
         if self.kind not in ("mixing", "condition1", "condition23", "scaling"):
             raise ConfigError(f"unknown sweep kind {self.kind!r}")
+        if self.eval_size < 1:
+            raise ConfigError(f"eval_size must be >= 1, got {self.eval_size}")
 
 
 @dataclass

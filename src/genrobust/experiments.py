@@ -43,6 +43,7 @@ __all__ = [
     "sample_from_spec",
     "prepare_sources",
     "sample_generated_holdout",
+    "sample_true_sets",
     "run_mixing_sweep",
     "run_condition1_probe",
     "run_condition23_probe",
@@ -417,6 +418,26 @@ def sample_generated_holdout(
         ]
     )
     return pseudo_label(sources.labeler, images, labeler_id="gen-holdout")
+
+
+def sample_true_sets(
+    sources: ExperimentSources, per_class: int, pool_per_class: int
+) -> tuple[LabeledDataset, PseudoLabeledSet]:
+    """Conditions 2-3's "true" sets, drawn from the dataset family itself:
+    a test set with its true labels and a pool labeled by the labeler."""
+    spec = sources.spec
+    test = LabeledDataset(
+        np.concatenate(
+            [sample_from_spec(spec, c, per_class, derive_rng("cli-true-test", spec.seed, c))
+             for c in range(spec.num_classes)]
+        ),
+        np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class),
+    )
+    pool_images = np.concatenate(
+        [sample_from_spec(spec, c, pool_per_class, derive_rng("cli-true-pool", spec.seed, c))
+         for c in range(spec.num_classes)]
+    )
+    return test, pseudo_label(sources.labeler, pool_images, labeler_id="true-generator")
 
 
 def prepare_sources(

@@ -204,6 +204,32 @@ def test_cli_sweep_rejects_a_generation_setting_it_ignores_before_any_compute(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["attack-eval", "--eval-size", "0"], "--eval-size"),
+    (["attack-eval", "--eval-size", "-3"], "--eval-size"),
+    (["generate", "--per-class", "0"], "--per-class"),
+])
+def test_cli_rejects_a_size_below_one_before_any_compute(tmp_path, capsys, argv, flag):
+    out = tmp_path / "run12"
+    path = write_config(tmp_path, minimal_raw(output_dir=str(out)))
+    assert cli([argv[0], "--config", path, *argv[1:]]) == 1
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, -2])
+def test_cli_sweep_rejects_an_eval_size_below_one_before_any_compute(tmp_path, capsys, monkeypatch, value):
+    from genrobust import cli as cli_module
+
+    monkeypatch.setattr(cli_module, "prepare_sources", lambda *a, **k: pytest.fail("sweep computed"))
+    out = tmp_path / "run13"
+    raw = minimal_raw(output_dir=str(out))
+    raw["sweep"]["eval_size"] = value
+    assert cli(["sweep", "--config", write_config(tmp_path, raw)]) == 1
+    assert f"sweep: eval_size must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_shape_mismatch_rejected():
     raw = minimal_raw()
     raw["model"]["input_shape"] = [1, 8, 8]

@@ -298,3 +298,32 @@ def test_premixed_pool_zero_coverage_backfills():
     pool = exp._premixed_pool(src.pool, src.pool, true_fraction=0.25, covered_classes=0,
                               num_classes=3, rng=rng, total=40)
     assert len(pool) == 40  # quota filled with mismatched samples
+
+
+def test_sample_true_sets_equals_the_inline_cli_construction():
+    """The condition-2/3 true sets keep the arrays the CLI once built inline."""
+    from genrobust.data import LabeledDataset
+    from genrobust.labeling import pseudo_label
+
+    src, _, _, _ = _tiny_setup()
+    true_test, true_pool = exp.sample_true_sets(src, per_class=7, pool_per_class=11)
+
+    spec = src.spec
+    test_imgs = np.concatenate(
+        [sample_from_spec(spec, c, 7, derive_rng("cli-true-test", spec.seed, c))
+         for c in range(spec.num_classes)]
+    )
+    test_labels = np.concatenate([np.full(7, c, dtype=np.int64) for c in range(spec.num_classes)])
+    ref_test = LabeledDataset(test_imgs, test_labels)
+    true_imgs = np.concatenate(
+        [sample_from_spec(spec, c, 11, derive_rng("cli-true-pool", spec.seed, c))
+         for c in range(spec.num_classes)]
+    )
+    ref_pool = pseudo_label(src.labeler, true_imgs, labeler_id="true-generator")
+
+    for got, want in ((true_test.images, ref_test.images), (true_test.labels, ref_test.labels),
+                      (true_pool.images, ref_pool.images), (true_pool.pseudo_labels, ref_pool.pseudo_labels),
+                      (true_pool.scores, ref_pool.scores)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert true_pool.labeler_id == ref_pool.labeler_id == "true-generator"
