@@ -156,60 +156,53 @@ def margin_loss(logits, labels: np.ndarray) -> np.ndarray:
 # objectives (maximized by the attack)
 
 
-def _objective_values(
-    objective: str,
-    z: np.ndarray,
-    labels: np.ndarray,
-    targets: Optional[np.ndarray],
-    logp_clean: Optional[np.ndarray],
-    p_clean: Optional[np.ndarray],
-) -> np.ndarray:
-    """Per-example value [B] of one attack objective at the logits z, in
-    the expressions of the matching autodiff primitive's forward;
-    kl-vs-clean takes the clean log-probabilities and probabilities."""
-    if objective == "cross-entropy":
-        return -_rows(ad.log_softmax(z), labels)
-    if objective == "kl-vs-clean":
-        return (p_clean * (logp_clean - ad.log_softmax(z))).sum(axis=1)
-    if objective == "margin":  # max_{i != y} z_i - z_y, the negated margin
-        return _rows(z, ad.argmax_excluding(z, labels)) - _rows(z, labels)
-    return _rows(z, targets) - _rows(z, labels)  # targeted-margin: z_target - z_y
-
-
 # the ascent follows the batch mean of these objectives, the sum of the others
 _MEAN_OBJECTIVES = ("cross-entropy", "kl-vs-clean")
 
 
-def _logit_gradient(
+def _objective(
     objective: str,
     labels: np.ndarray,
     targets: Optional[np.ndarray],
-    p_clean: Optional[np.ndarray],
+    logp_clean: Optional[np.ndarray],
     n_classes: int,
     dtype,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Gradient toward the logits of the ascended scalar, the batch mean or
-    sum of the objective, as a function of the logits.
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """One attack objective as (values(z), logit_grad(z)) of the logits z.
 
-    It runs the expressions of the taped objective's backward pass. What
-    does not depend on the logits is built here, once per attack: the
-    spread of the unit seed gradient over the rows, the label and target
-    one-hots, and the clean probabilities ``p_clean`` of kl-vs-clean.
+    ``values`` gives the per-example value [B] in the expressions of the
+    matching autodiff primitive's forward. ``logit_grad`` gives the gradient
+    toward the logits of the ascended scalar, the batch mean or sum of the
+    values, in the expressions of the taped objective's backward pass.
+    kl-vs-clean takes the clean log-probabilities ``logp_clean``. What does
+    not depend on the logits is built here, once per attack: the spread of
+    the unit seed gradient over the rows, the label and target one-hots,
+    and the clean probabilities.
     """
     b = len(labels)
     n = max(b, 1) if objective in _MEAN_OBJECTIVES else 1  # an empty batch spreads nothing
     fill = ad.spread(np.ones((), dtype=dtype), (b,), dtype, n)
     if objective == "cross-entropy":
         onehot = ad.scatter_rows(np.ones(b, dtype=dtype), labels, n_classes)
-        return lambda z: ad.cross_entropy_grad(ad.log_softmax(z), onehot, fill)
+        return (
+            lambda z: -_rows(ad.log_softmax(z), labels),
+            lambda z: ad.cross_entropy_grad(ad.log_softmax(z), onehot, fill),
+        )
     if objective == "kl-vs-clean":
-        return lambda z: ad.kl_q_grad(p_clean, ad.log_softmax(z), fill)
+        p_clean = np.exp(logp_clean)
+        return (
+            lambda z: (p_clean * (logp_clean - ad.log_softmax(z))).sum(axis=1),
+            lambda z: ad.kl_q_grad(p_clean, ad.log_softmax(z), fill),
+        )
     # high - z_label, whose difference passes (fill, -fill) to its two terms
     toward_label = ad.scatter_rows(-fill, labels, n_classes)
-    if objective == "margin":
-        return lambda z: toward_label + ad.scatter_rows(fill, ad.argmax_excluding(z, labels), n_classes)
+    if objective == "margin":  # max_{i != y} z_i - z_y, the negated margin
+        return (
+            lambda z: _rows(z, ad.argmax_excluding(z, labels)) - _rows(z, labels),
+            lambda z: toward_label + ad.scatter_rows(fill, ad.argmax_excluding(z, labels), n_classes),
+        )
     toward_targets = toward_label + ad.scatter_rows(fill, targets, n_classes)
-    return lambda z: toward_targets
+    return lambda z: _rows(z, targets) - _rows(z, labels), lambda z: toward_targets  # z_target - z_y
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +323,7 @@ def pgd(
     logits [B,C].
     """
     n, n_classes, dtype = len(x), model.config.num_classes, model.config.dtype
-    logp_clean = p_clean = None
+    logp_clean = None
     if cfg.objective == "kl-vs-clean":
         ref = np.asarray(y_or_reference)
         if ref.shape != (n, n_classes):
@@ -339,7 +332,6 @@ def pgd(
         clean = np.asarray(ref, dtype=dtype)
         ad.check_finite(clean, "kl-vs-clean reference")
         logp_clean = ad.log_softmax(clean)
-        p_clean = np.exp(logp_clean)
     else:
         labels = np.asarray(y_or_reference)
         if labels.ndim != 1:
@@ -351,16 +343,16 @@ def pgd(
                 targets = np.full(labels.shape, cfg.target, dtype=np.int64)
             targets = ad.check_labels(targets, n, n_classes)
     labels = ad.check_labels(labels, n, n_classes)
-    logit_grad = _logit_gradient(cfg.objective, labels, targets, p_clean, n_classes, dtype)
+    values, logit_grad = _objective(cfg.objective, labels, targets, logp_clean, n_classes, dtype)
 
     def gradient(x_adv):
         return mdl.input_gradient(model, x_adv, logit_grad)
 
     def evaluate(x_adv):
         z = mdl.forward_arrays(model, x_adv)[0]
-        values = _objective_values(cfg.objective, z, labels, targets, logp_clean, p_clean)
-        ad.check_finite(values, "attack objective")
-        return z, values
+        vals = values(z)
+        ad.check_finite(vals, "attack objective")
+        return z, vals
 
     return pgd_on_objective(
         gradient, evaluate, x, pset, cfg, labels=labels, example_ids=example_ids, dtype=dtype,

@@ -218,10 +218,8 @@ def _cmd_attack_eval(cfg: ExperimentConfig, args) -> int:
     test_ds = _read_dataset(_out(cfg, args, "test.grtc"))
     if args.eval_size is not None:
         test_ds = test_ds.subset(np.arange(min(args.eval_size, len(test_ds))))
-    pert = cfg.train.perturbation
-    if getattr(args, "epsilon", None) is not None:
-        pert = replace(pert, epsilon=args.epsilon)
-    result = attack_cascade(model, test_ds, pert, cfg.cascade)
+    # _apply_overrides has written --epsilon into cfg.train.perturbation
+    result = attack_cascade(model, test_ds, cfg.train.perturbation, cfg.cascade)
     rows = [
         [r["example_id"], int(r["clean_correct"]), int(r["stage1_survived"]),
          int(r["stage2_survived"]), f"{r['worst_margin']:.8g}"]

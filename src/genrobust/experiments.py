@@ -479,6 +479,13 @@ def prepare_sources(
     )
 
 
+def _check_eval_size(eval_size: int) -> None:
+    """Reject an evaluation subset that would be empty, before any cell runs:
+    the cascade on no examples reports accuracies of 0.0."""
+    if eval_size < 1:
+        raise ValueError(f"eval_size must be >= 1, got {eval_size}")
+
+
 def _evaluate_cell(
     model: Classifier,
     test_ds: LabeledDataset,
@@ -521,6 +528,7 @@ def run_mixing_sweep(
     config_hash: str = "",
 ) -> SweepResult:
     """One robust model per (alpha, seed); cascade accuracy on the test split."""
+    _check_eval_size(eval_size)
 
     def cell(alpha, seed, cell_seed):
         cfg = replace(base, alpha=float(alpha))
@@ -547,6 +555,7 @@ def run_condition1_probe(
 ) -> SweepResult:
     """Fig verifying the accurate-labeler condition: degrade the labeler to
     several accuracy levels, relabel the pool, train and evaluate."""
+    _check_eval_size(eval_size)
     levels = list(accuracy_levels)
     if levels != sorted(levels):
         raise ValueError("accuracy levels must be ascending")
@@ -640,6 +649,7 @@ def run_condition23_probe(
     the remaining share holds true samples from the first m classes only;
     when a wide model config is given, each cell trains narrow and wide.
     """
+    _check_eval_size(eval_size)
     if axis not in ("gauss_fraction", "covered_classes"):
         raise ValueError(f"unknown probe axis {axis!r}")
     total = pool_total if pool_total is not None else len(sources.pool)
@@ -683,6 +693,7 @@ def run_scaling_study(
 ) -> SweepResult:
     """alpha = 0 scaling: robust accuracy on the real test split and on a
     held-out generated split as the generated pool grows."""
+    _check_eval_size(eval_size)
     if base.alpha != 0.0:
         base = replace(base, alpha=0.0)
 

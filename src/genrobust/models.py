@@ -9,9 +9,11 @@ and eval modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
+import functools
 import json
+import math
 
 import numpy as np
 
@@ -90,68 +92,52 @@ class Classifier:
     params: ParamStore
 
 
-def _dense_init(rng, fan_in: int, fan_out: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    w = rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-    return w.astype(dtype), np.zeros(fan_out, dtype=dtype)
+_KERNEL, _STRIDE, _PADDING = 3, 2, 1  # every conv: 3x3, stride 2, zero padding 1
 
 
-def _conv_init(rng, c_in: int, c_out: int, k: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    fan_in = c_in * k * k
-    w = rng.normal(scale=1.0 / np.sqrt(fan_in), size=(c_out, c_in, k, k))
-    return w.astype(dtype), np.zeros(c_out, dtype=dtype)
+class _Layer(NamedTuple):
+    """One affine layer. ``in_shape`` is the per-example shape of the
+    activation it reads; a dense layer reading several axes flattens them."""
+
+    kind: str  # "conv" or "dense"
+    weight: str
+    weight_shape: tuple
+    bias: str
+    bias_shape: tuple
+    in_shape: tuple
 
 
-def _cnn_flat_dim(config: ModelConfig) -> int:
-    _, h, w = config.input_shape
-    for _ in range(2):  # two stride-2, pad-1, 3x3 convs
-        h = (h + 2 - 3) // 2 + 1
-        w = (w + 2 - 3) // 2 + 1
-    if h < 1 or w < 1:
-        raise ValueError(f"input {config.input_shape} too small for small-cnn")
-    return config.channels[1] * h * w
+@functools.lru_cache(maxsize=None)
+def _layers(config: ModelConfig) -> tuple[_Layer, ...]:
+    """The network as an ordered table of affine layers, a SiLU after each
+    but the last: init, both forwards, the input gradient and the checkpoint
+    check all walk it. Built once per config."""
+    layers, shape = [], config.input_shape
+    if config.kind == "mlp":
+        dense = [(f"w{i}", f"b{i}", n) for i, n in enumerate((*config.hidden, config.num_classes))]
+    else:
+        for i, c_out in enumerate(config.channels):
+            weight_shape = (c_out, shape[0], _KERNEL, _KERNEL)
+            layers.append(_Layer("conv", f"conv{i}.w", weight_shape, f"conv{i}.b", (c_out,), shape))
+            shape = (c_out, *((s + 2 * _PADDING - _KERNEL) // _STRIDE + 1 for s in shape[1:]))
+        dense = [("fc.w", "fc.b", config.num_classes)]
+    for weight, bias, n in dense:
+        layers.append(_Layer("dense", weight, (math.prod(shape), n), bias, (n,), shape))
+        shape = (n,)
+    return tuple(layers)
 
 
 def init(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Classifier:
-    """Fan-in-scaled normal initialization."""
+    """Fan-in-scaled normal weights and zero biases, drawn in layer order."""
     if rng is None:
         rng = derive_rng("model-init", config.seed)
-    dtype = config.dtype
     params = ParamStore()
-    if config.kind == "mlp":
-        dims = [config.input_dim, *config.hidden, config.num_classes]
-        for i in range(len(dims) - 1):
-            w, b = _dense_init(rng, dims[i], dims[i + 1], dtype)
-            params.create(f"w{i}", w)
-            params.create(f"b{i}", b)
-    else:
-        c_in = config.input_shape[0]
-        w0, b0 = _conv_init(rng, c_in, config.channels[0], 3, dtype)
-        w1, b1 = _conv_init(rng, config.channels[0], config.channels[1], 3, dtype)
-        params.create("conv0.w", w0)
-        params.create("conv0.b", b0)
-        params.create("conv1.w", w1)
-        params.create("conv1.b", b1)
-        wf, bf = _dense_init(rng, _cnn_flat_dim(config), config.num_classes, dtype)
-        params.create("fc.w", wf)
-        params.create("fc.b", bf)
+    for layer in _layers(config):
+        fan_in = math.prod(layer.weight_shape) // layer.bias_shape[0]  # one bias per output unit
+        w = rng.normal(scale=1.0 / np.sqrt(fan_in), size=layer.weight_shape)
+        params.create(layer.weight, w.astype(config.dtype))
+        params.create(layer.bias, np.zeros(layer.bias_shape, dtype=config.dtype))
     return Classifier(config=config, params=params)
-
-
-def _forward_mlp(params: ParamStore, config: ModelConfig, x: Tensor, tape: Optional[Tape]) -> Tensor:
-    h = ad.reshape(x, (x.shape[0], config.input_dim), tape)
-    n_layers = len(config.hidden) + 1
-    for i in range(n_layers):
-        h = ad.add_bias(ad.matmul(h, params[f"w{i}"], tape), params[f"b{i}"], tape)
-        if i < n_layers - 1:
-            h = ad.silu(h, tape)
-    return h
-
-
-def _forward_cnn(params: ParamStore, config: ModelConfig, x: Tensor, tape: Optional[Tape]) -> Tensor:
-    h = ad.silu(ad.conv2d(x, params["conv0.w"], params["conv0.b"], stride=2, padding=1, tape=tape), tape)
-    h = ad.silu(ad.conv2d(h, params["conv1.w"], params["conv1.b"], stride=2, padding=1, tape=tape), tape)
-    flat = ad.reshape(h, (x.shape[0], _cnn_flat_dim(config)), tape)
-    return ad.add_bias(ad.matmul(flat, params["fc.w"], tape), params["fc.b"], tape)
 
 
 def _check_input_shape(shape: tuple, config: ModelConfig) -> None:
@@ -170,10 +156,19 @@ def _coerce_input(x, dtype) -> Tensor:
 def forward_logits(model: Classifier, x, *, tape: Optional[Tape] = None) -> Tensor:
     """Logits [B, C_out] as a taped Tensor, the training step's forward; pure
     w.r.t. params. Untaped passes use :func:`forward_arrays`: the same bits."""
-    xt = _coerce_input(x, model.config.dtype)
-    _check_input_shape(xt.shape, model.config)
-    forward = _forward_mlp if model.config.kind == "mlp" else _forward_cnn
-    return forward(model.params, model.config, xt, tape)
+    h = _coerce_input(x, model.config.dtype)
+    _check_input_shape(h.shape, model.config)
+    layers, p = _layers(model.config), model.params
+    for i, layer in enumerate(layers):
+        if layer.kind == "conv":
+            h = ad.conv2d(h, p[layer.weight], p[layer.bias], stride=_STRIDE, padding=_PADDING, tape=tape)
+        else:
+            if len(layer.in_shape) > 1:
+                h = ad.reshape(h, (h.shape[0], layer.weight_shape[0]), tape)
+            h = ad.add_bias(ad.matmul(h, p[layer.weight], tape), p[layer.bias], tape)
+        if i < len(layers) - 1:
+            h = ad.silu(h, tape)
+    return h
 
 
 def _forward_arrays(p: dict, config: ModelConfig, x, slopes: bool = False) -> tuple:
@@ -182,29 +177,24 @@ def _forward_arrays(p: dict, config: ModelConfig, x, slopes: bool = False) -> tu
     matching primitive, so the bits are those of :func:`forward_logits`.
     Only the logits are checked finite: a NaN or Inf anywhere upstream
     reaches them, so overflowing weights still raise ``NumericError``."""
-    x = np.ascontiguousarray(x, dtype=config.dtype)
-    _check_input_shape(x.shape, config)
+    h = np.ascontiguousarray(x, dtype=config.dtype)
+    _check_input_shape(h.shape, config)
     kept = [] if slopes else None
-
-    def act(z):
+    layers = _layers(config)
+    for i, layer in enumerate(layers):
+        if layer.kind == "conv":
+            z = ad.conv2d_arrays(h, p[layer.weight], p[layer.bias], _STRIDE, _PADDING)[0]
+        else:
+            if len(layer.in_shape) > 1:
+                h = h.reshape(h.shape[0], layer.weight_shape[0])
+            z = h @ p[layer.weight] + p[layer.bias][None, :]
+        if i == len(layers) - 1:
+            break
         h, slope = ad.silu_arrays(z, slope=slopes)
         if slopes:
             kept.append(slope)
-        return h
-
-    if config.kind == "mlp":
-        h = x.reshape(x.shape[0], config.input_dim)
-        for i in range(len(config.hidden)):
-            h = act(h @ p[f"w{i}"] + p[f"b{i}"][None, :])
-        w, b = p[f"w{len(config.hidden)}"], p[f"b{len(config.hidden)}"]
-    else:
-        h = act(ad.conv2d_arrays(x, p["conv0.w"], p["conv0.b"], 2, 1)[0])
-        h = act(ad.conv2d_arrays(h, p["conv1.w"], p["conv1.b"], 2, 1)[0])
-        h = h.reshape(x.shape[0], _cnn_flat_dim(config))
-        w, b = p["fc.w"], p["fc.b"]
-    logits = h @ w + b[None, :]
-    ad.check_finite(logits, "model logits")
-    return logits, h, kept
+    ad.check_finite(z, "model logits")
+    return z, h, kept
 
 
 def _arrays(model: Classifier) -> dict:
@@ -232,19 +222,20 @@ def input_gradient(
     over a ``Tape(wrt=(x,))`` of ``forward_logits``. The caller checks the
     returned gradient finite.
     """
-    config = model.config
     p = _arrays(model)
-    logits, _, slopes = _forward_arrays(p, config, x, slopes=True)
+    logits, _, slopes = _forward_arrays(p, model.config, x, slopes=True)
     g = logit_grad(logits)
-    if config.kind == "mlp":
-        for i in reversed(range(len(config.hidden) + 1)):
-            g = g @ p[f"w{i}"].T
-            if i:
-                g = g * slopes[i - 1]
-        return g.reshape(x.shape)
-    g = (g @ p["fc.w"].T).reshape(slopes[1].shape)
-    g = ad.conv2d_input_grad(g * slopes[1], p["conv1.w"], slopes[0].shape, 2, 1)
-    return ad.conv2d_input_grad(g * slopes[0], p["conv0.w"], x.shape, 2, 1)
+    layers = _layers(model.config)
+    for i in reversed(range(len(layers))):
+        layer = layers[i]
+        if i < len(layers) - 1:
+            g = g * slopes[i]
+        in_shape = (x.shape[0], *layer.in_shape)
+        if layer.kind == "conv":
+            g = ad.conv2d_input_grad(g, p[layer.weight], in_shape, _STRIDE, _PADDING)
+        else:
+            g = (g @ p[layer.weight].T).reshape(in_shape)
+    return g
 
 
 # rows per untaped inference forward; bounds the activations held at once
@@ -315,20 +306,23 @@ def save_checkpoint(path, model: Classifier, step: int = 0, config_hash: str = "
     save_container(path, entries)
 
 
-def _check_params(path, store: ParamStore, expected: ParamStore) -> None:
+def _check_params(path, store: ParamStore, config: ModelConfig) -> None:
     """Raise ValueError at the first name, shape or dtype that differs from
     what the model config declares."""
-    for name, want in expected.items():
+    dtype, expected = np.dtype(config.dtype), {}
+    for layer in _layers(config):
+        expected.update({layer.weight: layer.weight_shape, layer.bias: layer.bias_shape})
+    for name, shape in expected.items():
         if name not in store:
             raise ValueError(f"{path}: checkpoint lacks parameter {name!r}")
         got = store[name]
-        if got.shape != want.shape:
+        if got.shape != shape:
             raise ValueError(
-                f"{path}: parameter {name!r}: shape {got.shape} != {want.shape} of the model config"
+                f"{path}: parameter {name!r}: shape {got.shape} != {shape} of the model config"
             )
-        if got.dtype != want.dtype:
+        if got.dtype != dtype:
             raise ValueError(
-                f"{path}: parameter {name!r}: dtype {got.dtype} != {want.dtype} of the model config"
+                f"{path}: parameter {name!r}: dtype {got.dtype} != {dtype} of the model config"
             )
     for name in store.names():
         if name not in expected:
@@ -368,5 +362,5 @@ def load_checkpoint(path) -> tuple[Classifier, int]:
     for key, arr in entries.items():
         if key.startswith("param:"):
             params.create(key[len("param:") :], np.asarray(arr))
-    _check_params(path, params, init(config).params)
+    _check_params(path, params, config)
     return Classifier(config=config, params=params), step

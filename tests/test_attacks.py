@@ -420,8 +420,8 @@ def test_input_gradient_equals_the_taped_gradient_bitwise(base, precision):
             clean = Tensor(clean_data)
             for objective in OBJECTIVES:
                 labs = np.argmax(clean_data, axis=1) if objective == "kl-vs-clean" else labels
-                logit_grad = attacks._logit_gradient(
-                    objective, labs, targets, np.exp(ad.log_softmax(clean_data)), cfg.num_classes, dtype
+                _, logit_grad = attacks._objective(
+                    objective, labs, targets, ad.log_softmax(clean_data), cfg.num_classes, dtype
                 )
                 got = mdl.input_gradient(model, x_in, logit_grad)
                 want = _taped_input_grad(model, x_in, objective, labs, targets, clean)
@@ -568,7 +568,7 @@ def test_untaped_passes_build_no_tensor(monkeypatch):
     for (model, scaled), x, labels, targets in setups:
         clean = mdl.predict_logits(model, x)
         mdl.forward_penultimate(scaled, x)
-        logit_grad = attacks._logit_gradient(
+        _, logit_grad = attacks._objective(
             "cross-entropy", labels, None, None, model.config.num_classes, model.config.dtype
         )
         mdl.input_gradient(model, x, logit_grad)

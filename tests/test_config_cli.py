@@ -295,6 +295,31 @@ def test_cli_full_pipeline(tmp_path, capsys):
     assert header == "example_id,clean_correct,stage1_survived,stage2_survived,worst_margin"
 
 
+def test_cli_attack_eval_at_epsilon_zero_leaves_every_clean_prediction(tmp_path, capsys):
+    """``attack-eval --epsilon 0.3`` breaks some examples; at ``--epsilon 0``
+    no perturbation can move an input, so robust accuracy equals clean
+    accuracy, and each example survives both stages exactly when it is
+    clean-correct."""
+    out = str(tmp_path / "run-eps")
+    path = write_config(tmp_path, minimal_raw(output_dir=out))
+    assert cli(["make-data", "--config", path]) == 0
+    assert cli(["train", "--config", path, "--alpha", "1.0", "--epochs", "30"]) == 0  # long enough to classify
+
+    def attack_eval(*flags):
+        capsys.readouterr()
+        assert cli(["attack-eval", "--config", path, "--eval-size", "20", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = dict(line.rsplit(" ", 1) for line in lines if "accuracy" in line)
+        with open(os.path.join(out, "attack_eval.csv")) as fh:
+            return float(printed["clean accuracy"]), float(printed["robust accuracy"]), list(csv.DictReader(fh))
+
+    clean, robust, _ = attack_eval("--epsilon", "0.3")
+    assert robust < clean
+    clean, robust, rows = attack_eval("--epsilon", "0")
+    assert robust == clean and len(rows) == 20
+    assert all(row["stage2_survived"] == row["clean_correct"] for row in rows)
+
+
 def test_cli_alpha_override_changes_pool_requirement(tmp_path):
     out = str(tmp_path / "run2")
     path = write_config(tmp_path, minimal_raw(output_dir=out))

@@ -284,6 +284,37 @@ def test_scaling_study_rows_ordered():
         assert {"robust_acc", "gen_robust_acc", "gap"} <= set(row)
 
 
+SWEEPS = {
+    "mixing": lambda src, base, mcfg, **kw: exp.run_mixing_sweep(
+        base, mcfg, alphas=[1.0], seeds=[0], sources=src, **kw),
+    "condition1": lambda src, base, mcfg, **kw: exp.run_condition1_probe(
+        base, mcfg, accuracy_levels=[0.9], seeds=[0], sources=src, **kw),
+    "condition23": lambda src, base, mcfg, **kw: exp.run_condition23_probe(
+        base, mcfg, "gauss_fraction", [0.5], seeds=[0], sources=src, true_test=src.test,
+        true_pool=src.pool, **kw),
+    "scaling": lambda src, base, mcfg, **kw: exp.run_scaling_study(
+        base, mcfg, sample_counts=[10], seeds=[0], sources=src,
+        gen_holdout=exp.sample_generated_holdout(src, per_class=5), **kw),
+}
+
+
+@pytest.mark.parametrize("eval_size", [0, -3])
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_sweeps_reject_an_eval_size_below_one_before_any_cell(sweep, eval_size, tmp_path, monkeypatch):
+    """An empty evaluation subset would report accuracies of 0.0: each sweep
+    raises first, before a cell trains or a file is written."""
+    src, base, mcfg, cascade = _tiny_setup()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(exp, "_train_cell", no_training)
+    out_dir = tmp_path / "sweep"
+    with pytest.raises(ValueError, match="eval_size"):
+        SWEEPS[sweep](src, base, mcfg, cascade=cascade, eval_size=eval_size, out_dir=str(out_dir))
+    assert not out_dir.exists()
+
+
 def test_premixed_pool_composition():
     src, _, _, _ = _tiny_setup()
     rng = derive_rng("premix", 0)

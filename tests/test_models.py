@@ -239,6 +239,66 @@ def test_load_checkpoint_rejects_a_container_without_model_config(tmp_path):
         models.load_checkpoint(path)
 
 
+def test_load_checkpoint_draws_no_weights(tmp_path, monkeypatch):
+    """The checkpoint check reads names and shapes from the config alone."""
+    path = tmp_path / "ckpt.grtc"
+    models.save_checkpoint(path, models.init(CNN))
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a model")
+
+    monkeypatch.setattr(models, "init", no_init)
+    loaded, _ = models.load_checkpoint(path)
+    assert loaded.params.names() == ["conv0.w", "conv0.b", "conv1.w", "conv1.b", "fc.w", "fc.b"]
+
+
+def _per_kind_init(cfg):
+    """(name, array) pairs in the draw order of the per-kind initializers
+    that the layer table replaced: dense and conv weights fan-in-scaled
+    normal, biases zero; the CNN's two 3x3, stride-2, pad-1 convs, then fc."""
+    rng = derive_rng("model-init", cfg.seed)
+
+    def draw(fan_in, shape):
+        w = rng.normal(scale=1.0 / np.sqrt(fan_in), size=shape).astype(cfg.dtype)
+        return w, np.zeros(shape[1] if len(shape) == 2 else shape[0], dtype=cfg.dtype)
+
+    pairs = []
+    if cfg.kind == "mlp":
+        dims = [cfg.input_dim, *cfg.hidden, cfg.num_classes]
+        for i in range(len(dims) - 1):
+            w, b = draw(dims[i], (dims[i], dims[i + 1]))
+            pairs += [(f"w{i}", w), (f"b{i}", b)]
+        return pairs
+    c, h, wd = cfg.input_shape
+    for i, c_out in enumerate(cfg.channels):
+        w, b = draw(c * 9, (c_out, c, 3, 3))
+        pairs += [(f"conv{i}.w", w), (f"conv{i}.b", b)]
+        c, h, wd = c_out, (h + 2 - 3) // 2 + 1, (wd + 2 - 3) // 2 + 1
+    w, b = draw(c * h * wd, (c * h * wd, cfg.num_classes))
+    return pairs + [("fc.w", w), ("fc.b", b)]
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ModelConfig(kind="mlp", input_shape=(1, 4, 4), num_classes=3, hidden=(8,), seed=5),
+        ModelConfig(kind="mlp", input_shape=(2, 3, 5), num_classes=4, hidden=(8, 6), seed=6),
+        ModelConfig(kind="small-cnn", input_shape=(3, 16, 16), num_classes=5, channels=(4, 6), seed=7),
+        ModelConfig(kind="small-cnn", input_shape=(2, 7, 9), num_classes=3, channels=(3, 5), seed=8),
+    ],
+    ids=["mlp-1", "mlp-2", "cnn-3x16x16", "cnn-2x7x9"],
+)
+def test_init_walks_the_layer_table_in_the_per_kind_draw_order(cfg, precision):
+    cfg = replace(cfg, precision=precision)
+    want = _per_kind_init(cfg)
+    got = list(models.init(cfg).params.items())
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, t), (_, arr) in zip(got, want):
+        assert t.dtype == arr.dtype == cfg.dtype, name
+        assert t.shape == arr.shape and np.array_equal(t.data, arr), name
+
+
 def test_gradcheck_through_both_architectures():
     """Random parameter probes through full model graphs match finite differences."""
     rng = np.random.default_rng(21)
